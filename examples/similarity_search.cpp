@@ -3,16 +3,18 @@
 // / entity resolution). Trains a FoRWaRD embedding on the Genes database,
 // builds a nearest-neighbor index, and shows that a tuple's closest
 // neighbors in embedding space overwhelmingly share its (hidden) class,
-// then persists the model and reloads it.
+// then persists the model as a store directory and reopens it.
 //
 //   $ ./similarity_search [k]
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "src/data/registry.h"
+#include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
-#include "src/fwd/serialize.h"
 #include "src/ml/knn.h"
+#include "src/store/embedding_store.h"
 
 using namespace stedb;
 
@@ -81,22 +83,23 @@ int main(int argc, char** argv) {
                 ds.LabelOf(n.fact).c_str());
   }
 
-  // Persist and reload the trained model (vectors must round-trip).
-  const std::string path = "/tmp/stedb_genes.fwdmodel";
-  Status st = fwd::SaveModel(emb.value().model(), path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
+  // Persist the trained model as a store directory (snapshot + empty WAL)
+  // and reopen it: every vector must come back bit-exact.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "stedb_genes_store").string();
+  auto created = fwd::CreateForwardStore(dir, emb.value().model());
+  if (!created.ok()) {
+    std::fprintf(stderr, "create: %s\n", created.status().ToString().c_str());
     return 1;
   }
-  auto loaded = fwd::LoadModel(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
+  auto reopened = store::EmbeddingStore::Open(dir);
+  if (!reopened.ok()) {
+    std::fprintf(stderr, "open: %s\n", reopened.status().ToString().c_str());
     return 1;
   }
-  const la::Vector a = emb.value().Embed(query).value();
-  const la::Vector b = loaded.value().Embed(query).value();
-  std::printf("\nmodel round trip via %s: %zu vectors, max coord diff %g\n",
-              path.c_str(), loaded.value().num_embedded(),
-              la::Distance(a, b));
-  return purity > 25.0 ? 0 : 1;
+  const double diff = store::StoredModelMaxAbsDiff(created.value().model(),
+                                                   reopened.value().model());
+  std::printf("\nmodel round trip via %s: %zu vectors, max abs diff %g\n",
+              dir.c_str(), reopened.value().model().num_embedded(), diff);
+  return purity > 25.0 && diff == 0.0 ? 0 : 1;
 }

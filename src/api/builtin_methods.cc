@@ -2,6 +2,7 @@
 // api::Embedder interface and registered with the method registry. This is
 // the only file that knows both concrete embedders; everything above it
 // (experiments, benches, examples, serving) goes through the registry.
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "src/fwd/codec.h"
 #include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
-#include "src/store/snapshot.h"
 #include "src/store/stored_model.h"
 
 namespace stedb::api {
@@ -79,8 +79,11 @@ class ForwardMethod : public Embedder {
     // process would and diff against the live model.
     auto reopened = store::EmbeddingStore::Open(store_->dir());
     if (!reopened.ok()) return reopened.status();
-    return store::ModelMaxAbsDiff(reopened.value().model(),
-                                  embedder_->model());
+    // ψ as well as φ: the snapshot must carry the full trained model.
+    const fwd::ForwardModel* recovered =
+        fwd::AsForwardModel(reopened.value().model());
+    if (recovered == nullptr) return std::numeric_limits<double>::infinity();
+    return fwd::ForwardModelMaxAbsDiff(*recovered, embedder_->model());
   }
 
   std::string Name() const override { return "FoRWaRD"; }

@@ -49,7 +49,7 @@ Result<RunOutcome> RunOnce(const data::GeneratedDataset& ds,
   // All-at-once mode recomputes old walk distributions (FoRWaRD only).
   MethodConfig run_cfg = mcfg;
   run_cfg.forward.recompute_old_paths = !dcfg.one_by_one;
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> embedder,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> embedder,
                          MakeMethod(method, run_cfg, run_seed));
   STEDB_RETURN_IF_ERROR(
       embedder->TrainStatic(&database, ds.pred_rel, LabelExclusion(ds)));
@@ -174,7 +174,7 @@ Result<DynamicResult> RunDynamicExperiment(const data::GeneratedDataset& ds,
                                            const DynamicConfig& dcfg) {
   // Resolve the name once so an unknown method fails fast (and with the
   // registry's NotFound message) instead of inside the run fan-out.
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> probe,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> probe,
                          MakeMethod(method, mcfg, dcfg.seed));
   DynamicResult result;
   result.dataset = ds.name;

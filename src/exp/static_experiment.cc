@@ -18,7 +18,7 @@ fwd::AttrKeySet LabelExclusion(const data::GeneratedDataset& ds) {
 
 Result<ml::FeatureDataset> EmbeddingFeatures(
     const db::Database& database, db::AttrId pred_attr,
-    const EmbeddingMethod& method, const std::vector<db::FactId>& facts,
+    const api::Embedder& method, const std::vector<db::FactId>& facts,
     ml::LabelEncoder& encoder) {
   // One batch read instead of a per-fact copy+return loop: the methods
   // gather all rows at once (parallelized for large fact sets).
@@ -36,7 +36,7 @@ Result<ml::FeatureDataset> EmbeddingFeatures(
 }
 
 Result<ml::FeatureDataset> EmbeddingFeatures(
-    const data::GeneratedDataset& ds, const EmbeddingMethod& method,
+    const data::GeneratedDataset& ds, const api::Embedder& method,
     const std::vector<db::FactId>& facts, ml::LabelEncoder& encoder) {
   return EmbeddingFeatures(ds.database, ds.pred_attr, method, facts, encoder);
 }
@@ -66,7 +66,7 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
   // Resolve the method once up front: an unknown registry name fails here
   // with NotFound instead of inside the fold fan-out, and the instance
   // doubles as the shared embedding when embedding_per_fold is off.
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> resolved,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> resolved,
                          MakeMethod(method, mcfg, scfg.seed));
   const std::string method_name = resolved->Name();
 
@@ -74,7 +74,7 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
   // The per-fold embeddings — the dominant cost — are built up front, fanned
   // out over the runner; the folds are independent (disjoint seeds, shared
   // read-only database), and the result slots keep them in fold order.
-  std::unique_ptr<EmbeddingMethod> shared;
+  std::unique_ptr<api::Embedder> shared;
   std::vector<std::optional<Result<ml::FeatureDataset>>> fold_data;
   if (scfg.embedding_per_fold) {
     ParallelRunner runner(scfg.threads);
@@ -98,7 +98,7 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
         fold_data[fold].emplace(made.status());
         return;
       }
-      std::unique_ptr<EmbeddingMethod> m = std::move(made).value();
+      std::unique_ptr<api::Embedder> m = std::move(made).value();
       Timer t;
       Status st = m->TrainStatic(&ds.database, ds.pred_rel, excluded);
       fold_seconds[fold] = t.ElapsedSeconds();

@@ -63,10 +63,22 @@ class ForwardModelCodec : public store::ModelCodec {
       const store::ParsedSnapshot& snapshot) const override;
 };
 
-/// Typed encode/decode used by the codec and the store::snapshot.h
-/// compatibility wrappers.
+/// Typed encode/decode of one FoRWaRD snapshot: the bytes are the v2
+/// container ForwardModelCodec reads and writes, so a file written with
+/// store::AtomicWriteFile(path, EncodeForwardSnapshot(m)) opens like any
+/// store snapshot. Encoding is deterministic (equal models, equal bytes);
+/// decoding verifies magic, container version, method tag, structure and
+/// per-section CRCs.
 std::string EncodeForwardSnapshot(const ForwardModel& model);
 Result<ForwardModel> DecodeForwardSnapshot(const std::string& bytes);
+
+/// Largest absolute entry-wise deviation between two models' ψ matrices
+/// and φ vectors; +inf on any structural mismatch (relation, dim, schemes,
+/// targets, or embedded-fact sets differ). 0.0 means bit-exact agreement —
+/// the FoRWaRD recovery acceptance criterion. store::StoredModelMaxAbsDiff
+/// is the φ-only, method-agnostic counterpart; a caller holding a
+/// StoredModel unwraps it with AsForwardModel first.
+double ForwardModelMaxAbsDiff(const ForwardModel& a, const ForwardModel& b);
 
 /// Convenience: persists a freshly trained FoRWaRD model as a new store
 /// directory (snapshot + empty journal) via the FoRWaRD codec.

@@ -70,6 +70,12 @@ class VectorSetModel : public StoredModel {
   std::map<db::FactId, la::Vector> phi_;
 };
 
+/// Per-component deviation that cannot be fooled by NaN: bit-identical
+/// values (NaNs included) contribute 0, and a NaN-valued difference is
+/// +inf instead of vanishing inside std::max (where NaN comparisons are
+/// always false). The building block of every model diff.
+double AbsDiffOrInf(double x, double y);
+
 /// Largest absolute entry-wise deviation between two models' embedding
 /// maps; +inf on any structural mismatch (dim, relation, or embedded-fact
 /// sets differ). 0.0 means bit-exact agreement — the generic recovery

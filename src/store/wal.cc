@@ -138,9 +138,13 @@ Result<WalWriter> WalWriter::Open(const std::string& path, size_t dim) {
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
-    : file_(other.file_), dim_(other.dim_), sync_count_(other.sync_count_) {
+    : file_(other.file_),
+      dim_(other.dim_),
+      sync_count_(other.sync_count_),
+      error_(std::move(other.error_)) {
   other.file_ = nullptr;
   other.sync_count_ = 0;
+  other.error_ = Status::OK();
 }
 
 WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
@@ -149,8 +153,10 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     file_ = other.file_;
     dim_ = other.dim_;
     sync_count_ = other.sync_count_;
+    error_ = std::move(other.error_);
     other.file_ = nullptr;
     other.sync_count_ = 0;
+    other.error_ = Status::OK();
   }
   return *this;
 }
@@ -159,7 +165,13 @@ WalWriter::~WalWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+Status WalWriter::Fail(const char* message) {
+  error_ = Status::IOError(message);
+  return error_;
+}
+
 Status WalWriter::Append(db::FactId fact, const la::Vector& phi) {
+  if (!error_.ok()) return error_;
   if (file_ == nullptr) {
     return Status::FailedPrecondition("wal writer is closed");
   }
@@ -176,30 +188,29 @@ Status WalWriter::Append(db::FactId fact, const la::Vector& phi) {
   AppendU32(record, Crc32(payload.data(), payload.size()));
   record += payload;
   if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    return Status::IOError("wal append failed");
+    return Fail("wal append failed");
   }
   // Hand the record to the OS right away: a killed *process* loses nothing
   // already appended (kill-safe). Surviving a killed *machine* needs the
   // fsync in Sync().
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("wal append flush failed");
-  }
+  if (std::fflush(file_) != 0) return Fail("wal append flush failed");
   return Status::OK();
 }
 
 Status WalWriter::Sync() {
+  if (!error_.ok()) return error_;
   if (file_ == nullptr) {
     return Status::FailedPrecondition("wal writer is closed");
   }
   if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    return Status::IOError("wal sync failed");
+    return Fail("wal sync failed");
   }
   ++sync_count_;
   return Status::OK();
 }
 
 Status WalWriter::Close() {
-  if (file_ == nullptr) return Status::OK();
+  if (file_ == nullptr) return error_;
   Status st = Sync();
   if (std::fclose(file_) != 0 && st.ok()) {
     st = Status::IOError("wal close failed");

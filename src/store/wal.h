@@ -68,6 +68,13 @@ Result<WalReplay> ReplayWal(const std::string& path, int expect_dim);
 /// record to the OS immediately (fflush — durable against a killed
 /// process); Sync() additionally forces the disk cache (fsync — durable
 /// against a killed machine).
+///
+/// I/O errors are sticky: the first failed fwrite/fflush/fsync is stored,
+/// and every later Append, Sync and Close returns it until a new writer is
+/// opened. A failed write can leave a torn record that replay stops at, so
+/// acknowledging anything appended after it would be a lie; and a failed
+/// fsync is never retried, since the kernel may already have dropped the
+/// dirty pages it could not write.
 class WalWriter {
  public:
   /// Opens `path` for appending, writing the 16-byte header when the file
@@ -91,7 +98,8 @@ class WalWriter {
   /// fflush + fsync; after an OK return every appended record is durable.
   Status Sync();
 
-  /// Flushes, syncs and closes the file. Further Appends fail.
+  /// Flushes, syncs and closes the file (after a stored error: closes
+  /// without syncing and returns that error). Further Appends fail.
   Status Close();
 
   size_t dim() const { return dim_; }
@@ -103,9 +111,13 @@ class WalWriter {
  private:
   WalWriter(std::FILE* file, size_t dim) : file_(file), dim_(dim) {}
 
+  /// Stores `message` as the sticky error and returns it.
+  Status Fail(const char* message);
+
   std::FILE* file_ = nullptr;
   size_t dim_ = 0;
   uint64_t sync_count_ = 0;
+  Status error_;  ///< first I/O failure; OK while the writer is healthy
 };
 
 /// Truncates `path` to `valid_bytes`, discarding a torn tail found by

@@ -2,20 +2,20 @@
 // recovery, compaction crash-windows, and the extension-sink wiring into
 // both embedding methods.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
-#include "src/fwd/serialize.h"
 #include "src/n2v/node2vec.h"
 #include "src/store/embedding_store.h"
 #include "src/store/model_codec.h"
 #include "src/store/format.h"
-#include "src/store/snapshot.h"
 #include "src/store/wal.h"
 #include "tests/test_util.h"
 
@@ -54,6 +54,16 @@ void TruncateFile(const std::string& path, size_t new_size) {
   std::filesystem::resize_file(path, new_size);
 }
 
+/// The typed model behind a FoRWaRD store's generic handle, for the
+/// ψ-aware fwd::ForwardModelMaxAbsDiff.
+const fwd::ForwardModel& Typed(const StoredModel& model) {
+  static const fwd::ForwardModel kNotForward;
+  const fwd::ForwardModel* typed = fwd::AsForwardModel(model);
+  if (typed != nullptr) return *typed;
+  ADD_FAILURE() << "store does not hold a FoRWaRD model";
+  return kNotForward;
+}
+
 la::Vector TestVector(size_t dim, int tag) {
   la::Vector v(dim);
   for (size_t i = 0; i < dim; ++i) {
@@ -66,37 +76,41 @@ la::Vector TestVector(size_t dim, int tag) {
 
 TEST(SnapshotTest, RoundTripIsBitExact) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string bytes = SnapshotToBytes(model);
-  auto parsed = SnapshotFromBytes(bytes);
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
+  auto parsed = fwd::DecodeForwardSnapshot(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(parsed.value(), model), 0.0);
 }
 
 TEST(SnapshotTest, BytesAreDeterministic) {
   fwd::ForwardModel model = TrainSmall();
   // φ lives in an unordered_map; the sorted PHI section must still make
   // byte-identical snapshots out of equal models.
-  auto reparsed = SnapshotFromBytes(SnapshotToBytes(model));
+  auto reparsed = fwd::DecodeForwardSnapshot(fwd::EncodeForwardSnapshot(model));
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(SnapshotToBytes(model), SnapshotToBytes(reparsed.value()));
+  EXPECT_EQ(fwd::EncodeForwardSnapshot(model),
+            fwd::EncodeForwardSnapshot(reparsed.value()));
 }
 
 TEST(SnapshotTest, FileRoundTripAndAtomicReplace) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("snap_file");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(WriteSnapshot(model, path).ok());
-  ASSERT_TRUE(WriteSnapshot(model, path).ok());  // replace in place
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());  // replace in place
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  auto loaded = ReadSnapshot(path);
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(path, &back).ok());
+  auto loaded = fwd::DecodeForwardSnapshot(back);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(ModelMaxAbsDiff(loaded.value(), model), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(loaded.value(), model), 0.0);
 }
 
 TEST(SnapshotTest, DetectsCorruptionEverywhere) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string good = SnapshotToBytes(model);
-  ASSERT_TRUE(SnapshotFromBytes(good).ok());
+  const std::string good = fwd::EncodeForwardSnapshot(model);
+  ASSERT_TRUE(fwd::DecodeForwardSnapshot(good).ok());
 
   // A flip of any single byte must be rejected (header checks or section
   // CRC) or — only for bytes in the zero padding — parse to the same
@@ -104,27 +118,58 @@ TEST(SnapshotTest, DetectsCorruptionEverywhere) {
   for (size_t i = 0; i < good.size(); ++i) {
     std::string bad = good;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    auto parsed = SnapshotFromBytes(bad);
+    auto parsed = fwd::DecodeForwardSnapshot(bad);
     if (parsed.ok()) {
-      EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0)
+      EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(parsed.value(), model), 0.0)
           << "undetected corruption at byte " << i;
     }
   }
 }
 
 TEST(SnapshotTest, RejectsTruncation) {
-  const std::string good = SnapshotToBytes(TrainSmall());
+  const std::string good = fwd::EncodeForwardSnapshot(TrainSmall());
   for (size_t cut : {size_t{0}, size_t{4}, size_t{15}, size_t{17},
                      good.size() / 2, good.size() - 1}) {
-    EXPECT_FALSE(SnapshotFromBytes(good.substr(0, cut)).ok())
+    EXPECT_FALSE(fwd::DecodeForwardSnapshot(good.substr(0, cut)).ok())
         << "accepted a snapshot cut to " << cut << " bytes";
   }
 }
 
 TEST(SnapshotTest, RejectsTrailingGarbage) {
-  std::string bytes = SnapshotToBytes(TrainSmall());
+  std::string bytes = fwd::EncodeForwardSnapshot(TrainSmall());
   bytes += "excess bytes";
-  EXPECT_FALSE(SnapshotFromBytes(bytes).ok());
+  EXPECT_FALSE(fwd::DecodeForwardSnapshot(bytes).ok());
+}
+
+TEST(SnapshotTest, RejectsDuplicateFact) {
+  // Rebuild a valid snapshot with its last PHI record repeated. The
+  // section CRCs are recomputed, so only the strictly-ascending fact-id
+  // check stands between the duplicate and the decoded model.
+  fwd::ForwardModel model = TrainSmall();
+  const std::string good = fwd::EncodeForwardSnapshot(model);
+  auto parsed = ParseSnapshotContainer(good.data(), good.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const SnapshotSection* phi = parsed.value().Find(kPhiSectionTag);
+  ASSERT_NE(phi, nullptr);
+  const size_t record = 8 + model.dim() * 8;
+  ASSERT_GE(phi->size, 8 + record);
+  std::string dup;
+  AppendU64(dup, model.num_embedded() + 1);
+  dup.append(phi->data + 8, phi->size - 8);
+  dup.append(phi->data + phi->size - record, record);
+  SnapshotBuilder builder(fwd::kForwardMethodTag, /*codec_version=*/1,
+                          model.dim(), model.relation());
+  for (const SnapshotSection& section : parsed.value().sections) {
+    builder.AddSection(section.tag,
+                       section.tag == kPhiSectionTag
+                           ? dup
+                           : std::string(section.data, section.size));
+  }
+  auto decoded = fwd::DecodeForwardSnapshot(std::move(builder).Finish());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("strictly ascending"),
+            std::string::npos)
+      << decoded.status();
 }
 
 // ---- WAL ---------------------------------------------------------------
@@ -232,7 +277,8 @@ TEST(EmbeddingStoreTest, CreateOpenRoundTrip) {
   ASSERT_TRUE(created.ok()) << created.status();
   auto opened = EmbeddingStore::Open(dir);
   ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ(ModelMaxAbsDiff(opened.value().model(), model), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(opened.value().model()), model),
+            0.0);
   EXPECT_EQ(opened.value().wal_records(), 0u);
   EXPECT_FALSE(opened.value().recovered_torn_tail());
 }
@@ -257,7 +303,9 @@ TEST(EmbeddingStoreTest, AppendsRecoverAcrossOpen) {
   auto reopened = EmbeddingStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened.value().wal_records(), 5u);
-  EXPECT_EQ(ModelMaxAbsDiff(reopened.value().model(), st.model()), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(reopened.value().model()),
+                                        Typed(st.model())),
+            0.0);
 }
 
 /// The acceptance scenario: N appended extensions, a crash tears the last
@@ -277,7 +325,7 @@ TEST(EmbeddingStoreTest, TornWriteRecoversDurablePrefix) {
     for (int i = 0; i < kAppends - 1; ++i) {
       ASSERT_TRUE(st.Append(9000 + i, TestVector(dim, i)).ok());
     }
-    expect_after_n_minus_1 = *fwd::AsForwardModel(st.model());
+    expect_after_n_minus_1 = Typed(st.model());
     ASSERT_TRUE(st.Append(9000 + kAppends - 1,
                           TestVector(dim, kAppends - 1)).ok());
     // No Close(): simulate the process dying with the file as-is.
@@ -291,7 +339,8 @@ TEST(EmbeddingStoreTest, TornWriteRecoversDurablePrefix) {
   EXPECT_EQ(recovered.value().wal_records(),
             static_cast<size_t>(kAppends - 1));
   EXPECT_EQ(
-      ModelMaxAbsDiff(recovered.value().model(), expect_after_n_minus_1),
+      fwd::ForwardModelMaxAbsDiff(Typed(recovered.value().model()),
+                                  expect_after_n_minus_1),
       0.0);
 
   // The tail was truncated away: appends work again and a second Open
@@ -307,6 +356,60 @@ TEST(EmbeddingStoreTest, TornWriteRecoversDurablePrefix) {
   ASSERT_TRUE(final_open.ok());
   EXPECT_EQ(final_open.value().wal_records(),
             static_cast<size_t>(kAppends));
+}
+
+/// A failed write poisons the writer until it is reopened: the third of
+/// five appends runs into RLIMIT_FSIZE mid-record, and the limit is lifted
+/// right after, as when a full disk frees up. Appends four and five must
+/// still fail — the torn third record ends every later replay, so
+/// acknowledging anything after it would lose it on the next Open.
+TEST(EmbeddingStoreTest, WriteErrorIsStickyUntilReopen) {
+  fwd::ForwardModel model = TrainSmall();
+  const std::string dir = FreshDir("store_sticky_error");
+  const size_t dim = model.dim();
+  fwd::ForwardModel acknowledged;
+  {
+    auto created = fwd::CreateForwardStore(dir, model);
+    ASSERT_TRUE(created.ok());
+    EmbeddingStore st = std::move(created).value();
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(st.Append(9000 + i, TestVector(dim, i)).ok());
+    }
+    acknowledged = Typed(st.model());
+
+    // Cap the file inside record three. With SIGXFSZ ignored the write
+    // fails with EFBIG instead of killing the process. No ASSERT until
+    // the limit is restored.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = kWalHeaderBytes + 2 * WalWriter::RecordBytes(dim) +
+                      WalWriter::RecordBytes(dim) / 2;
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    const bool limited = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+    const Status third =
+        limited ? st.Append(9002, TestVector(dim, 2)) : Status::OK();
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    ASSERT_TRUE(limited);
+    EXPECT_EQ(third.code(), StatusCode::kIOError) << third;
+
+    EXPECT_EQ(st.Append(9003, TestVector(dim, 3)).code(),
+              StatusCode::kIOError);
+    EXPECT_EQ(st.Append(9004, TestVector(dim, 4)).code(),
+              StatusCode::kIOError);
+    EXPECT_EQ(st.Sync().code(), StatusCode::kIOError);
+    EXPECT_EQ(st.Close().code(), StatusCode::kIOError);
+  }
+  auto recovered = EmbeddingStore::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered.value().recovered_torn_tail());
+  EXPECT_EQ(recovered.value().wal_records(), 2u);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(recovered.value().model()),
+                                        acknowledged),
+            0.0);
+  // A new writer starts healthy.
+  EXPECT_TRUE(recovered.value().Append(9005, TestVector(dim, 5)).ok());
 }
 
 TEST(EmbeddingStoreTest, GarbageAppendedToJournalIsDropped) {
@@ -326,7 +429,9 @@ TEST(EmbeddingStoreTest, GarbageAppendedToJournalIsDropped) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered.value().recovered_torn_tail());
   EXPECT_EQ(recovered.value().wal_records(), 1u);
-  EXPECT_EQ(ModelMaxAbsDiff(recovered.value().model(), st.model()), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(recovered.value().model()),
+                                        Typed(st.model())),
+            0.0);
 }
 
 TEST(EmbeddingStoreTest, CompactFoldsJournalIntoSnapshot) {
@@ -346,7 +451,9 @@ TEST(EmbeddingStoreTest, CompactFoldsJournalIntoSnapshot) {
   EXPECT_TRUE(replay.value().records.empty());
   auto reopened = EmbeddingStore::Open(dir);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(ModelMaxAbsDiff(reopened.value().model(), st.model()), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(reopened.value().model()),
+                                        Typed(st.model())),
+            0.0);
   // And the store still accepts appends after compaction.
   ASSERT_TRUE(st.Append(9999, TestVector(model.dim(), 9)).ok());
 }
@@ -366,7 +473,9 @@ TEST(EmbeddingStoreTest, AutoCompactAtThreshold) {
   EXPECT_EQ(st.wal_records(), 1u);
   auto reopened = EmbeddingStore::Open(dir);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(ModelMaxAbsDiff(reopened.value().model(), st.model()), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(reopened.value().model()),
+                                        Typed(st.model())),
+            0.0);
 }
 
 /// Compact()'s crash window: the new snapshot has landed (atomic rename)
@@ -383,13 +492,15 @@ TEST(EmbeddingStoreTest, StaleJournalOverFreshSnapshotIsIdempotent) {
   }
   // Simulate the crash: snapshot the journaled state in place, keep the
   // journal file untouched (Compact would have reset it next).
-  ASSERT_TRUE(WriteSnapshot(*fwd::AsForwardModel(st.model()),
-                            EmbeddingStore::SnapshotPath(dir))
+  ASSERT_TRUE(AtomicWriteFile(EmbeddingStore::SnapshotPath(dir),
+                              fwd::EncodeForwardSnapshot(Typed(st.model())))
                   .ok());
   auto recovered = EmbeddingStore::Open(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered.value().wal_records(), 4u);
-  EXPECT_EQ(ModelMaxAbsDiff(recovered.value().model(), st.model()), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(recovered.value().model()),
+                                        Typed(st.model())),
+            0.0);
 }
 
 TEST(EmbeddingStoreTest, AppendRejectsWrongDimension) {
@@ -435,7 +546,8 @@ TEST(SinkTest, ForwardExtensionsAreJournaledAndRecovered) {
   ASSERT_TRUE(recovered.ok());
   ASSERT_TRUE(recovered.value().model().HasEmbedding(c4));
   EXPECT_EQ(recovered.value().model().phi(c4), embedder.model().phi(c4));
-  EXPECT_EQ(ModelMaxAbsDiff(recovered.value().model(), embedder.model()),
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(Typed(recovered.value().model()),
+                                        embedder.model()),
             0.0);
 }
 
@@ -586,7 +698,7 @@ TEST(ModelCodecTest, BuiltinsAreRegistered) {
 
 TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string bytes = SnapshotToBytes(model);
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
   auto parsed = ParseSnapshotContainer(bytes.data(), bytes.size());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().header.method_tag, fwd::kForwardMethodTag);
@@ -598,11 +710,11 @@ TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
 
 TEST(ModelCodecTest, VersionSkewIsAClearErrorNotACrcFailure) {
   fwd::ForwardModel model = TrainSmall();
-  std::string bytes = SnapshotToBytes(model);
+  std::string bytes = fwd::EncodeForwardSnapshot(model);
   // Container version sits at offset 8 (little-endian u32).
   std::string old_version = bytes;
   old_version[8] = 1;
-  auto old_parsed = SnapshotFromBytes(old_version);
+  auto old_parsed = fwd::DecodeForwardSnapshot(old_version);
   ASSERT_FALSE(old_parsed.ok());
   EXPECT_EQ(old_parsed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(old_parsed.status().message().find("older binary"),
@@ -611,7 +723,7 @@ TEST(ModelCodecTest, VersionSkewIsAClearErrorNotACrcFailure) {
 
   std::string new_version = bytes;
   new_version[8] = 3;
-  auto new_parsed = SnapshotFromBytes(new_version);
+  auto new_parsed = fwd::DecodeForwardSnapshot(new_version);
   ASSERT_FALSE(new_parsed.ok());
   EXPECT_NE(new_parsed.status().message().find("newer binary"),
             std::string::npos)
@@ -686,7 +798,7 @@ TEST(ModelCodecTest, ForwardSnapshotKeepsFullModelFidelity) {
   const fwd::ForwardModel* typed =
       fwd::AsForwardModel(opened.value().model());
   ASSERT_NE(typed, nullptr);
-  EXPECT_EQ(ModelMaxAbsDiff(*typed, model), 0.0);
+  EXPECT_EQ(fwd::ForwardModelMaxAbsDiff(*typed, model), 0.0);
   // And the generic diff agrees on the φ side.
   EXPECT_EQ(StoredModelMaxAbsDiff(opened.value().model(),
                                   fwd::ForwardStoredModel(model)),
