@@ -13,6 +13,7 @@
 // the micro-benchmarks.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -414,6 +415,9 @@ std::vector<KernelTiming> TimeKernels() {
     la::Matrix m = la::Matrix::RandomGaussian(d, d, 1.0, rng);
     la::Matrix src = la::Matrix::RandomGaussian(kGatherRows, d, 1.0, rng);
     la::Matrix gout(kGatherRows, d);
+    la::Vector adam_m(d, 0.0), adam_v(d, 0.0);
+    const la::AdamCoeffs adam{0.9, 0.999, 1.0 - std::pow(0.9, 10),
+                              1.0 - std::pow(0.999, 10), 1e-9, 1e-8};
     std::vector<size_t> perm(kGatherRows);
     for (size_t i = 0; i < kGatherRows; ++i) {
       perm[i] = rng.NextIndex(kGatherRows);
@@ -429,6 +433,12 @@ std::vector<KernelTiming> TimeKernels() {
         {"axpy",
          [&] {
            la::Axpy(1e-9, b.data(), a.data(), d);
+           benchmark::DoNotOptimize(a.data());
+         }},
+        {"adam",
+         [&] {
+           la::AdamStep(a.data(), adam_m.data(), adam_v.data(), b.data(), d,
+                        adam);
            benchmark::DoNotOptimize(a.data());
          }},
         {"bilinear",

@@ -1,6 +1,7 @@
 #include "src/fwd/trainer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 
@@ -25,6 +26,11 @@ struct TrainMetrics {
   obs::Histogram& epoch_seconds = reg.GetHistogram(
       "stedb_train_epoch_seconds",
       "Wall time of one FoRWaRD training epoch (materialize + apply)",
+      obs::Buckets::Latency());
+  obs::Histogram& apply_seconds = reg.GetHistogram(
+      "stedb_train_apply_seconds",
+      "Wall time of one FoRWaRD training epoch's serial gradient apply "
+      "(the apply_chunk tasks; compare stedb_train_epoch_seconds)",
       obs::Buckets::Latency());
   obs::Counter& epochs = reg.GetCounter(
       "stedb_train_epochs_total", "FoRWaRD training epochs completed");
@@ -213,8 +219,10 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
   // no per-sample allocation, and bit-identical on either SIMD path.
   la::Vector grad_f(d), grad_f2(d), psi_pf(d), psi_pf2(d);
   la::Matrix grad_psi(d, d);
+  double epoch_apply_seconds = 0.0;  // written by the one apply task only
   auto apply_chunk = [&](const std::vector<std::vector<Sample>>& batches,
                          size_t count) {
+    const auto start = std::chrono::steady_clock::now();
     for (size_t ci = 0; ci < count; ++ci) {
       for (const Sample& smp : batches[ci]) {
         la::Vector& pf = *phi[smp.f];
@@ -238,6 +246,9 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
                   grad_psi.data().data(), d * d);
       }
     }
+    epoch_apply_seconds += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
   };
 
   // Double-buffered chunk pipeline: while the (sequentially consistent)
@@ -251,6 +262,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
     obs::ScopedTimer epoch_timer(Metrics().epoch_seconds);
     // Mild decay stabilizes the tail of training.
     opt->SetLearningRateScale(1.0 / (1.0 + 0.25 * epoch));
+    epoch_apply_seconds = 0.0;
     std::iota(order.begin(), order.end(), size_t{0});
     rng.Shuffle(order);
 
@@ -273,6 +285,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
       });
       std::swap(cur, next);
     }
+    Metrics().apply_seconds.Observe(epoch_apply_seconds);
     Metrics().epochs.Inc();
   }
   stats_.dist_cache = dists.GetStats();

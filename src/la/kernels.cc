@@ -58,6 +58,20 @@ struct ScalarPolicy {
     }
     return v;
   }
+  static Vec Div(Vec a, Vec b) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = a.lane[l] / b.lane[l];
+    }
+    return v;
+  }
+  static Vec Sqrt(Vec a) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = std::sqrt(a.lane[l]);
+    }
+    return v;
+  }
   static Vec Fma(Vec a, Vec b, Vec acc) {
     Vec v;
     for (size_t l = 0; l < internal::kLaneWidth; ++l) {
@@ -110,6 +124,10 @@ double ScalarBilinear(const double* x, const double* m, const double* y,
                       size_t rows, size_t cols) {
   return internal::BilinearImpl<ScalarPolicy>(x, m, y, rows, cols);
 }
+void ScalarAdamStep(double* p, double* m, double* v, const double* g,
+                    size_t n, const AdamCoeffs& c) {
+  internal::AdamStepImpl<ScalarPolicy>(p, m, v, g, n, c);
+}
 
 constexpr KernelOps kScalarOps = {
     SimdPath::kScalar,
@@ -123,6 +141,7 @@ constexpr KernelOps kScalarOps = {
     &ScalarCopyRow,
     &ScalarMatVec,
     &ScalarBilinear,
+    &ScalarAdamStep,
 };
 
 /// The resolved active table. Published once by ResolveActive(); tests

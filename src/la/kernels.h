@@ -5,8 +5,8 @@
 //
 // Every reduction-shaped primitive in this repo (Dot, Norm2, the φᵀψφ
 // bilinear scorer, MatVec) and every element-wise update (Axpy, Scale,
-// ScaleAdd, row copies) funnels through the function table returned by
-// `Kernels()`. The table is resolved exactly once per process:
+// ScaleAdd, row copies, the Adam step) funnels through the function table
+// returned by `Kernels()`. The table is resolved exactly once per process:
 //
 //   * `STEDB_SIMD=scalar` forces the portable path;
 //   * `STEDB_SIMD=avx2` forces AVX2+FMA and aborts with an actionable
@@ -25,16 +25,29 @@
 //
 // Adding a new ISA path (e.g. AVX-512 or NEON): write a policy with the
 // primitives kernels_impl.h needs (4-lane Load/Store/partial variants,
-// Add/Sub/Mul, single-rounding Fma, the fixed ReduceTree), instantiate
-// it in its own translation unit compiled with the ISA flags for that
-// file only, surface it as another `KernelOps` table, and extend the
-// dispatch below. The reduction order must not change — lane width is
+// Add/Sub/Mul, correctly rounded Div/Sqrt, single-rounding Fma, the fixed
+// ReduceTree), instantiate it in its own translation unit compiled with
+// the ISA flags for that file only plus -ffp-contract=off (so the
+// compiler never fuses a Mul+Add pair the scalar path rounds twice),
+// surface it as another `KernelOps` table, and extend the dispatch
+// below. The reduction order must not change — lane width is
 // part of the contract, so wider ISAs process two 4-lane groups per
 // register-pair rather than widening the accumulator.
 
 #include <cstddef>
 
 namespace stedb::la {
+
+/// Per-call scalars of one Adam step (Kingma & Ba): the moment decays,
+/// the bias corrections bc = 1 - beta^t and the (scaled) learning rate.
+struct AdamCoeffs {
+  double beta1;
+  double beta2;
+  double bc1;
+  double bc2;
+  double lr;
+  double eps;
+};
 
 /// The implementation a kernel table was built from.
 enum class SimdPath { kScalar, kAvx2 };
@@ -56,6 +69,8 @@ struct KernelOps {
                  double* out);
   double (*bilinear)(const double* x, const double* m, const double* y,
                      size_t rows, size_t cols);
+  void (*adam_step)(double* p, double* m, double* v, const double* g,
+                    size_t n, const AdamCoeffs& c);
 };
 
 /// The active table, resolved once at first use (thread-safe).
@@ -106,6 +121,14 @@ inline void MatVec(const double* m, size_t rows, size_t cols, const double* x,
 inline double BilinearForm(const double* x, const double* m, const double* y,
                            size_t rows, size_t cols) {
   return Kernels().bilinear(x, m, y, rows, cols);
+}
+/// One Adam update of p with moments m, v and gradient g, per element:
+///   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+///   p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+/// in exactly that operation order, every op rounded on its own.
+inline void AdamStep(double* p, double* m, double* v, const double* g,
+                     size_t n, const AdamCoeffs& c) {
+  Kernels().adam_step(p, m, v, g, n, c);
 }
 
 namespace internal {

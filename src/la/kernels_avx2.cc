@@ -3,6 +3,8 @@
 // src/CMakeLists.txt; there is no global -march), so nothing here may be
 // referenced from another TU except through the Avx2Ops() table, and the
 // table is only executed after the runtime cpuid check in kernels.cc.
+// It is also compiled with -ffp-contract=off: every fused multiply-add
+// here is an explicit Fma, never one the compiler formed from a Mul+Add.
 // When the toolchain cannot target AVX2 (non-x86, or the flags are
 // unavailable), the #else branch below compiles this TU down to a
 // nullptr table and dispatch never offers the path.
@@ -42,6 +44,10 @@ struct Avx2Policy {
   static Vec Add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
   static Vec Sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
   static Vec Mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  /// vdivpd / vsqrtpd are correctly rounded IEEE-754 operations, so each
+  /// lane equals the scalar `/` and std::sqrt results.
+  static Vec Div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
+  static Vec Sqrt(Vec a) { return _mm256_sqrt_pd(a); }
   static Vec Fma(Vec a, Vec b, Vec acc) {
     return _mm256_fmadd_pd(a, b, acc);
   }
@@ -105,6 +111,10 @@ double Avx2Bilinear(const double* x, const double* m, const double* y,
                     size_t rows, size_t cols) {
   return internal::BilinearImpl<Avx2Policy>(x, m, y, rows, cols);
 }
+void Avx2AdamStep(double* p, double* m, double* v, const double* g, size_t n,
+                  const AdamCoeffs& c) {
+  internal::AdamStepImpl<Avx2Policy>(p, m, v, g, n, c);
+}
 
 constexpr KernelOps kAvx2Ops = {
     SimdPath::kAvx2,
@@ -118,6 +128,7 @@ constexpr KernelOps kAvx2Ops = {
     &Avx2CopyRow,
     &Avx2MatVec,
     &Avx2Bilinear,
+    &Avx2AdamStep,
 };
 
 }  // namespace

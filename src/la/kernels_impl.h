@@ -8,7 +8,7 @@
 // instantiated with different 4-lane arithmetic. Bit-identity across
 // paths then reduces to the policies' primitives being bit-identical per
 // lane — which they are, because every primitive is a single IEEE-754
-// double operation (add/sub/mul) or a correctly-rounded fused
+// double operation (add/sub/mul/div/sqrt) or a correctly-rounded fused
 // multiply-add (std::fma in the scalar policy, vfmadd in the AVX2 one;
 // both round exactly once by specification).
 //
@@ -24,9 +24,11 @@
 //     result = (v[0] + v[2]) + (v[1] + v[3])   (horizontal)
 // regardless of n, path, or machine.
 //
-// Element-wise kernels (Axpy / Scale / ScaleAdd / CopyRow) have no
-// cross-element order at all; they only need each element's op sequence
-// to match, which the shared template guarantees.
+// Element-wise kernels (Axpy / Scale / ScaleAdd / CopyRow / AdamStep)
+// have no cross-element order at all; they only need each element's op
+// sequence to match, which the shared template guarantees. That holds
+// only while the compiler emits each primitive as written, which is why
+// the AVX2 TU is compiled with -ffp-contract=off (no Mul+Add fusion).
 //
 // IMPORTANT for maintainers: never instantiate a policy outside its own
 // translation unit. kernels.cc instantiates ScalarPolicy only and
@@ -34,6 +36,8 @@
 // TU (or linker-chosen COMDAT) that must run on non-AVX2 hardware.
 
 #include <cstddef>
+
+#include "src/la/kernels.h"
 
 namespace stedb::la::internal {
 
@@ -177,6 +181,43 @@ void CopyRowImpl(double* dst, const double* src, size_t n) {
   }
   if (const size_t r = n - i) {
     P::StorePartial(dst + i, P::LoadPartial(src + i, r), r);
+  }
+}
+
+/// The Adam update in the historical loop's exact op order (see
+/// la::AdamStep): separate multiply and add roundings (no Fma), true
+/// divisions (no reciprocal multiply) and a correctly rounded Sqrt (no
+/// rsqrt). Padding lanes of the partial tail are never stored.
+template <typename P>
+void AdamStepImpl(double* p, double* m, double* v, const double* g, size_t n,
+                  const AdamCoeffs& c) {
+  using Vec = typename P::Vec;
+  const Vec b1 = P::Broadcast(c.beta1), a1 = P::Broadcast(1.0 - c.beta1);
+  const Vec b2 = P::Broadcast(c.beta2), a2 = P::Broadcast(1.0 - c.beta2);
+  const Vec bc1 = P::Broadcast(c.bc1), bc2 = P::Broadcast(c.bc2);
+  const Vec lr = P::Broadcast(c.lr), eps = P::Broadcast(c.eps);
+  auto step = [&](Vec& pv, Vec& mv, Vec& vv, Vec gv) {
+    mv = P::Add(P::Mul(b1, mv), P::Mul(a1, gv));
+    vv = P::Add(P::Mul(b2, vv), P::Mul(P::Mul(a2, gv), gv));
+    const Vec mhat = P::Div(mv, bc1);
+    const Vec vhat = P::Div(vv, bc2);
+    pv = P::Sub(pv, P::Div(P::Mul(lr, mhat), P::Add(P::Sqrt(vhat), eps)));
+  };
+  size_t i = 0;
+  for (; i + kLaneWidth <= n; i += kLaneWidth) {
+    Vec pv = P::Load(p + i), mv = P::Load(m + i), vv = P::Load(v + i);
+    step(pv, mv, vv, P::Load(g + i));
+    P::Store(p + i, pv);
+    P::Store(m + i, mv);
+    P::Store(v + i, vv);
+  }
+  if (const size_t r = n - i) {
+    Vec pv = P::LoadPartial(p + i, r), mv = P::LoadPartial(m + i, r),
+        vv = P::LoadPartial(v + i, r);
+    step(pv, mv, vv, P::LoadPartial(g + i, r));
+    P::StorePartial(p + i, pv, r);
+    P::StorePartial(m + i, mv, r);
+    P::StorePartial(v + i, vv, r);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/data/registry.h"
 #include "src/fwd/forward.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace stedb::fwd {
@@ -162,6 +163,36 @@ TEST(ForwardTrainerTest, ExcludedAttrNeverTargeted) {
                  model.value().targets()[t].attr == ds.value().pred_attr)
         << "label attribute leaked into T(R, lmax)";
   }
+}
+
+/// stedb_train_apply_seconds gets one observation per epoch, and the
+/// serial apply it times is a part of the epoch stedb_train_epoch_seconds
+/// times.
+TEST(ForwardTrainerTest, ApplySecondsRecordsOncePerEpoch) {
+  // Train once first so both histograms are registered.
+  db::Database database = stedb::testing::MovieDatabase();
+  auto kernels = KernelRegistry::Defaults(database);
+  const ForwardConfig cfg = TinyConfig();
+  ForwardTrainer trainer(&database, &kernels, cfg);
+  const db::RelationId rel = database.schema().RelationIndex("MOVIES");
+  ASSERT_TRUE(trainer.Train(rel, {}).ok());
+  const obs::Registry& reg = obs::Registry::Global();
+  const obs::Histogram* apply = reg.FindHistogram("stedb_train_apply_seconds");
+  const obs::Histogram* epoch = reg.FindHistogram("stedb_train_epoch_seconds");
+  ASSERT_NE(apply, nullptr);
+  ASSERT_NE(epoch, nullptr);
+
+  const uint64_t apply_count0 = apply->Count();
+  const uint64_t epoch_count0 = epoch->Count();
+  const double apply_sum0 = apply->Sum();
+  const double epoch_sum0 = epoch->Sum();
+  ASSERT_TRUE(trainer.Train(rel, {}).ok());
+  EXPECT_EQ(apply->Count() - apply_count0,
+            static_cast<uint64_t>(cfg.epochs));
+  EXPECT_EQ(epoch->Count() - epoch_count0,
+            static_cast<uint64_t>(cfg.epochs));
+  EXPECT_GT(apply->Sum() - apply_sum0, 0.0);
+  EXPECT_LE(apply->Sum() - apply_sum0, epoch->Sum() - epoch_sum0);
 }
 
 /// The three KD estimators all train successfully end to end.

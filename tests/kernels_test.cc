@@ -17,21 +17,7 @@
 namespace stedb::la {
 namespace {
 
-/// True when this binary AND this machine can execute the AVX2 path.
-bool HasAvx2() {
-  return internal::Avx2Ops() != nullptr && internal::CpuSupportsAvx2Fma();
-}
-
-/// Restores the dispatch decision active at construction — the force-path
-/// tests must not leak their override into later tests of the process.
-class PathGuard {
- public:
-  PathGuard() : saved_(ActiveSimdPath()) {}
-  ~PathGuard() { internal::ForceSimdPathForTest(saved_); }
-
- private:
-  SimdPath saved_;
-};
+using stedb::testing::HasAvx2;
 
 uint64_t Bits(double x) {
   uint64_t u;
@@ -176,6 +162,35 @@ TEST(KernelsBitEqualityTest, ElementwiseUpdatesMatchScalarBitForBit) {
       vx.copy_row(out_vx.data() + off, src.data() + off, n);
       EXPECT_TRUE(BitEq(out_sc, out_vx))
           << "copy_row n=" << n << " off=" << off;
+
+      // adam_step: three chained steps (bias corrections of t = 1..3),
+      // the last with an all-zero gradient, on non-negative second
+      // moments — every buffer compared after every step.
+      std::vector<double> p_sc = RandomBuf(rng, n, off), p_vx = p_sc;
+      std::vector<double> m_sc = RandomBuf(rng, n, off), m_vx = m_sc;
+      std::vector<double> v_sc = RandomBuf(rng, n, off);
+      for (double& x : v_sc) x = x * x;
+      std::vector<double> v_vx = v_sc;
+      const std::vector<double> zero(n + off, 0.0);
+      for (int t = 1; t <= 3; ++t) {
+        const AdamCoeffs c{0.9,
+                           0.999,
+                           1.0 - std::pow(0.9, t),
+                           1.0 - std::pow(0.999, t),
+                           0.01 * std::fabs(s1),
+                           1e-8};
+        const double* g = t < 3 ? src.data() + off : zero.data() + off;
+        sc.adam_step(p_sc.data() + off, m_sc.data() + off, v_sc.data() + off,
+                     g, n, c);
+        vx.adam_step(p_vx.data() + off, m_vx.data() + off, v_vx.data() + off,
+                     g, n, c);
+        EXPECT_TRUE(BitEq(p_sc, p_vx))
+            << "adam_step p n=" << n << " off=" << off << " t=" << t;
+        EXPECT_TRUE(BitEq(m_sc, m_vx))
+            << "adam_step m n=" << n << " off=" << off << " t=" << t;
+        EXPECT_TRUE(BitEq(v_sc, v_vx))
+            << "adam_step v n=" << n << " off=" << off << " t=" << t;
+      }
     }
   }
 }
@@ -248,7 +263,7 @@ fwd::ForwardConfig TinyForwardConfig() {
 
 TEST(KernelsEndToEndTest, ForwardTrainingBitIdenticalAcrossPaths) {
   if (!HasAvx2()) GTEST_SKIP() << "AVX2 path not available on this machine";
-  PathGuard guard;
+  stedb::testing::SimdPathGuard guard;
   db::Database database = stedb::testing::MovieDatabase();
   auto kernels = fwd::KernelRegistry::Defaults(database);
 
@@ -273,7 +288,7 @@ TEST(KernelsEndToEndTest, ForwardTrainingBitIdenticalAcrossPaths) {
 
 TEST(KernelsEndToEndTest, SkipGramTrainingBitIdenticalAcrossPaths) {
   if (!HasAvx2()) GTEST_SKIP() << "AVX2 path not available on this machine";
-  PathGuard guard;
+  stedb::testing::SimdPathGuard guard;
 
   auto train = [&](SimdPath path) {
     internal::ForceSimdPathForTest(path);

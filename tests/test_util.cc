@@ -108,4 +108,9 @@ db::FactId FindFact(const db::Database& database, const std::string& rel,
   return database.FindByKey(r, tuple);
 }
 
+bool HasAvx2() {
+  return la::internal::Avx2Ops() != nullptr &&
+         la::internal::CpuSupportsAvx2Fma();
+}
+
 }  // namespace stedb::testing

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/db/database.h"
+#include "src/la/kernels.h"
 
 namespace stedb::testing {
 
@@ -20,6 +21,23 @@ db::FactId InsertC4(db::Database& database);
 /// Looks up a fact by relation name and key values rendered as text.
 db::FactId FindFact(const db::Database& database, const std::string& rel,
                     const std::vector<std::string>& key);
+
+/// True when this binary AND this machine can execute the AVX2 kernels.
+bool HasAvx2();
+
+/// Restores the SIMD dispatch decision active at construction, so a test
+/// that forces a path does not leak the override into later tests of the
+/// process.
+class SimdPathGuard {
+ public:
+  SimdPathGuard() : saved_(la::ActiveSimdPath()) {}
+  ~SimdPathGuard() { la::internal::ForceSimdPathForTest(saved_); }
+  SimdPathGuard(const SimdPathGuard&) = delete;
+  SimdPathGuard& operator=(const SimdPathGuard&) = delete;
+
+ private:
+  la::SimdPath saved_;
+};
 
 }  // namespace stedb::testing
 
