@@ -32,7 +32,13 @@ struct ServingMetrics {
       "compaction reopen path)",
       obs::Buckets::Latency());
   obs::Counter& polls = reg.GetCounter(
-      "stedb_serving_polls_total", "ServingSession::Poll calls");
+      "stedb_serving_polls_total",
+      "ServingSession::Poll calls, failed ones included");
+  obs::Counter& poll_errors = reg.GetCounter(
+      "stedb_serving_poll_errors_total",
+      "ServingSession::Poll calls that returned an error (the session "
+      "keeps serving what it had; a persistent failure, e.g. an "
+      "unreadable snapshot, rises here on every change)");
   obs::Counter& wal_records_applied = reg.GetCounter(
       "stedb_serving_wal_records_applied_total",
       "Journal records applied by Poll since process start");
@@ -197,6 +203,13 @@ Result<size_t> ServingSession::Poll() {
   ServingMetrics& metrics = Metrics();
   metrics.polls.Inc();
   obs::ScopedTimer timer(metrics.poll_seconds);
+  Result<size_t> applied = CatchUp();
+  if (!applied.ok()) metrics.poll_errors.Inc();
+  return applied;
+}
+
+Result<size_t> ServingSession::CatchUp() {
+  ServingMetrics& metrics = Metrics();
   reopened_ = false;
   uint64_t inode = 0, size = 0;
   STEDB_RETURN_IF_ERROR(SnapshotIdentity(dir_, &inode, &size));

@@ -61,6 +61,9 @@ struct SimilarOptions {
 ///    (invalidating previously returned views); the served vectors are
 ///    unchanged, because compaction only folds journal records into the
 ///    snapshot. `reopened()` reports that this happened.
+///  * A failed Poll (say, the snapshot file is gone) leaves the session
+///    serving what it already had, from the live mapping, and counts in
+///    `stedb_serving_poll_errors_total`.
 ///
 /// Stability is what makes this sound: old embeddings never change, so a
 /// snapshot plus an append-only journal of new facts is the *complete*
@@ -167,6 +170,8 @@ class ServingSession {
  private:
   ServingSession(std::string dir, store::MmapSnapshot snapshot);
 
+  /// Poll's body, so Poll can count its failures in one place.
+  Result<size_t> CatchUp();
   /// Applies records parsed from the journal tail to the overlay; returns
   /// the bytes consumed by clean records.
   size_t ApplyTail(const std::string& bytes);

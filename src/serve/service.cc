@@ -1,13 +1,21 @@
 #include "src/serve/service.h"
 
+#include <poll.h>
+#include <unistd.h>
+#if defined(__linux__)
+#include <sys/inotify.h>
+#endif
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
+#include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/fwd/trainer.h"
 #include "src/obs/metrics.h"
@@ -36,13 +44,6 @@ struct ServeMetrics {
   obs::Counter& similar_queries = reg.GetCounter(
       "stedb_serve_similar_queries_total",
       "/similar queries served (approximate and exact paths)");
-  obs::Counter& polls = reg.GetCounter(
-      "stedb_serve_polls_total", "ServingSession Poll() calls");
-  obs::Counter& wal_records_applied = reg.GetCounter(
-      "stedb_serve_wal_records_applied_total",
-      "WAL records applied to the served overlay");
-  obs::Counter& reopens = reg.GetCounter(
-      "stedb_serve_reopens_total", "Compaction-triggered session reopens");
   obs::Gauge& inflight = reg.GetGauge(
       "stedb_serve_inflight_requests", "HTTP requests currently in flight");
   obs::Gauge& max_coalesced = reg.GetGauge(
@@ -59,6 +60,45 @@ ServeMetrics& Metrics() {
 }
 
 [[maybe_unused]] const ServeMetrics& g_eager_metrics = Metrics();
+
+/// A counter of the stedb_serving_* Poll families, which
+/// src/api/serving.cc owns; /stats reads them instead of keeping a
+/// second count of the same Polls.
+uint64_t ServingCounter(const char* name) {
+  const obs::Counter* c = obs::Registry::Global().FindCounter(name);
+  return c != nullptr ? c->Value() : 0;
+}
+
+/// A non-blocking inotify fd watching `dir` for what Poll must see: a WAL
+/// append (IN_MODIFY), the compaction's rename of the new snapshot
+/// (IN_MOVED_TO) and the new journal (IN_CREATE). The directory, not the
+/// journal file, is watched because compaction replaces the journal's
+/// inode. -1 where inotify is unavailable; poll() ignores a negative fd,
+/// which leaves the ticker a plain timed loop.
+ScopedFd WatchStoreDir(const std::string& dir) {
+#if defined(__linux__)
+  ScopedFd fd(::inotify_init1(IN_NONBLOCK | IN_CLOEXEC));
+  if (fd.valid() &&
+      ::inotify_add_watch(fd.get(), dir.c_str(),
+                          IN_MODIFY | IN_MOVED_TO | IN_CREATE) >= 0) {
+    return fd;
+  }
+  const char* why = std::strerror(errno);
+#else
+  const char* why = "no inotify on this platform";
+#endif
+  STEDB_LOG(kWarn) << "serve: cannot watch " << dir << " (" << why
+                   << "); WAL catch-up falls back to the timed tick";
+  return ScopedFd();
+}
+
+/// Reads every queued event off the non-blocking `fd`; which file changed
+/// does not matter, since one Poll covers them all.
+void DrainEvents(int fd) {
+  char buf[4096];
+  while (::read(fd, buf, sizeof(buf)) > 0) {
+  }
+}
 
 /// Shortest round-tripping decimal for an IEEE double: 17 significant
 /// digits reparse to the identical bits, which is what keeps the JSON
@@ -135,16 +175,27 @@ Result<std::unique_ptr<EmbeddingService>> EmbeddingService::Open(
     const std::string& dir, ServeOptions options) {
   STEDB_ASSIGN_OR_RETURN(api::ServingSession session,
                          api::ServingSession::Open(dir));
-  std::unique_ptr<EmbeddingService> service(
-      new EmbeddingService(std::move(session), std::move(options)));
+  int stop_pipe[2];
+  if (::pipe(stop_pipe) != 0) {
+    return Status::IOError(std::string("serve: cannot create stop pipe: ") +
+                           std::strerror(errno));
+  }
+  ScopedFd stop_read(stop_pipe[0]);
+  ScopedFd stop_write(stop_pipe[1]);
+  std::unique_ptr<EmbeddingService> service(new EmbeddingService(
+      std::move(session), std::move(options), std::move(stop_read),
+      std::move(stop_write)));
   return service;
 }
 
 EmbeddingService::EmbeddingService(api::ServingSession session,
-                                   ServeOptions options)
+                                   ServeOptions options, ScopedFd stop_read,
+                                   ScopedFd stop_write)
     : options_(std::move(options)),
       dim_(session.dim()),
-      session_(std::move(session)) {
+      session_(std::move(session)),
+      stop_read_(std::move(stop_read)),
+      stop_write_(std::move(stop_write)) {
   // Read-only serving binaries never reference the store/trainer write
   // paths, so their eager metric registrations would be dropped by the
   // static linker; touching them here keeps the /metrics schema complete
@@ -157,13 +208,14 @@ EmbeddingService::EmbeddingService(api::ServingSession session,
   baseline_.coalesce_rounds = m.coalesce_rounds.Value();
   baseline_.topk_queries = m.topk_queries.Value();
   baseline_.similar_queries = m.similar_queries.Value();
-  baseline_.polls = m.polls.Value();
-  baseline_.wal_records_applied = m.wal_records_applied.Value();
-  baseline_.reopens = m.reopens.Value();
+  baseline_.polls = ServingCounter("stedb_serving_polls_total");
+  baseline_.wal_records_applied =
+      ServingCounter("stedb_serving_wal_records_applied_total");
+  baseline_.reopens = ServingCounter("stedb_serving_reopens_total");
   RegisterHandlers();
   coalescer_ = std::thread([this] { CoalescerLoop(); });
   if (options_.poll_interval_ms > 0) {
-    ticker_ = std::thread([this] { TickerLoop(); });
+    ticker_ = std::thread([this, dir = session_.dir()] { TickerLoop(dir); });
   }
 }
 
@@ -182,40 +234,50 @@ void EmbeddingService::Stop() {
     embed_work_cv_.notify_all();
   }
   if (coalescer_.joinable()) coalescer_.join();
-  {
-    MutexLock lk(ticker_mu_);
-    ticker_cv_.notify_all();
-  }
+  stop_write_.Reset();  // the read end's POLLHUP wakes the ticker
   if (ticker_.joinable()) ticker_.join();
 }
 
 Result<size_t> EmbeddingService::PollNow() {
-  size_t applied = 0;
-  {
+  Result<size_t> applied = [&] {
     WriterMutexLock lk(session_mu_);
-    auto polled = session_.Poll();
-    if (!polled.ok()) return polled.status();
-    applied = polled.value();
-    Metrics().polls.Inc();
-    Metrics().wal_records_applied.Inc(applied);
-    if (session_.reopened()) Metrics().reopens.Inc();
-  }
+    return session_.Poll();
+  }();
+  // The hook runs even after a failed Poll: an idle co-located writer's
+  // durability must not hinge on the reader's snapshot being readable.
   if (options_.tick_hook) options_.tick_hook();
   return applied;
 }
 
-void EmbeddingService::TickerLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.poll_interval_ms);
-  UniqueMutexLock lk(ticker_mu_);
+void EmbeddingService::TickerLoop(const std::string& dir) {
+  // Watch first, then Poll once: an append that landed between the
+  // session's Open and the watch must not wait a whole interval.
+  const ScopedFd watch = WatchStoreDir(dir);
+  pollfd fds[2] = {{stop_read_.get(), POLLIN, 0}, {watch.get(), POLLIN, 0}};
+  // Poll errors repeat on every change while they last (an unlinked
+  // snapshot, say); the counter has each, the log one line a minute.
+  constexpr auto kErrorLogEvery = std::chrono::minutes(1);
+  auto next_error_log = std::chrono::steady_clock::now();
+  uint64_t unlogged_errors = 0;
   while (!stopping_.load(std::memory_order_acquire)) {
-    // No predicate: a spurious wake just polls one tick early, and the
-    // stop flag is re-checked before (and after) every wait.
-    ticker_cv_.wait_for(lk.native(), interval);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    lk.Unlock();
-    PollNow();  // a transient Poll error just retries next tick
-    lk.Lock();
+    const Result<size_t> polled = PollNow();
+    if (!polled.ok()) {
+      ++unlogged_errors;
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= next_error_log) {
+        STEDB_LOG(kWarn) << "serve: Poll of " << dir << " failed ("
+                         << unlogged_errors << " failure(s) since the last "
+                         << "such line): " << polled.status();
+        unlogged_errors = 0;
+        next_error_log = now + kErrorLogEvery;
+      }
+    }
+    // A burst of appends during that Poll queues many events and costs
+    // one more Poll, not one per append.
+    if (::poll(fds, 2, options_.poll_interval_ms) > 0 &&
+        (fds[1].revents & POLLIN) != 0) {
+      DrainEvents(watch.get());
+    }
   }
 }
 
@@ -566,10 +628,12 @@ EmbeddingService::Stats EmbeddingService::stats() const {
   s.topk_queries = m.topk_queries.Value() - baseline_.topk_queries;
   s.similar_queries =
       m.similar_queries.Value() - baseline_.similar_queries;
-  s.polls = m.polls.Value() - baseline_.polls;
+  s.polls = ServingCounter("stedb_serving_polls_total") - baseline_.polls;
   s.wal_records_applied =
-      m.wal_records_applied.Value() - baseline_.wal_records_applied;
-  s.reopens = m.reopens.Value() - baseline_.reopens;
+      ServingCounter("stedb_serving_wal_records_applied_total") -
+      baseline_.wal_records_applied;
+  s.reopens =
+      ServingCounter("stedb_serving_reopens_total") - baseline_.reopens;
   return s;
 }
 

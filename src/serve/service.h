@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/api/serving.h"
+#include "src/common/scoped_fd.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/serve/http.h"
@@ -23,9 +24,14 @@ struct ServeOptions {
   /// HTTP worker threads (0 = ResolveThreadCount: STEDB_THREADS, else
   /// hardware concurrency).
   int http_threads = 0;
-  /// WAL catch-up cadence: the ticker thread Polls the shared session
-  /// every this many milliseconds (0 disables the ticker — Poll only via
-  /// PollNow(), for tests and single-shot drills).
+  /// WAL catch-up fallback bound. The ticker thread Polls the shared
+  /// session as soon as the store directory changes (an inotify watch
+  /// over WAL appends, the compaction rename of the snapshot and the new
+  /// journal), so a journaled vector is served within one Poll of the
+  /// writer's flush. This interval is the longest it waits without a
+  /// change notification — the whole cadence where inotify is missing —
+  /// and the cadence of `tick_hook`. 0 disables the ticker: Poll only
+  /// via PollNow(), for tests and single-shot drills.
   int poll_interval_ms = 20;
   /// Ceiling on /topk's and /similar's k and /facts' limit.
   size_t max_topk = 1024;
@@ -35,9 +41,11 @@ struct ServeOptions {
   size_t ef_search = 0;
   /// Ceiling on facts per /embed_batch request.
   size_t max_batch_facts = 65536;
-  /// Runs on every ticker tick, after the Poll, outside the session lock.
-  /// The flusher pattern for a co-located writer: a trainer embedding in
-  /// the same process installs `[&store] { store mutex; store.SyncIfDue(); }`
+  /// Runs after every ticker Poll — change-driven ones and those at the
+  /// poll_interval_ms timeout alike, failed ones too — outside the
+  /// session lock, so it runs at least once per interval. The flusher
+  /// pattern for a co-located writer: a trainer embedding in the same
+  /// process installs `[&store] { store mutex; store.SyncIfDue(); }`
   /// so an idle writer's group-commit tail becomes durable within the
   /// window even when no Append arrives to evaluate it (see
   /// store::EmbeddingStore::SyncIfDue).
@@ -85,7 +93,7 @@ class EmbeddingService {
     uint64_t max_coalesced = 0;     ///< largest single coalesced round
     uint64_t topk_queries = 0;
     uint64_t similar_queries = 0;   ///< /similar requests (approx + exact)
-    uint64_t polls = 0;             ///< ticker + PollNow Poll() calls
+    uint64_t polls = 0;             ///< Poll() calls, failed ones included
     uint64_t wal_records_applied = 0;
     uint64_t reopens = 0;           ///< compaction-triggered reopens
   };
@@ -108,17 +116,22 @@ class EmbeddingService {
   int port() const { return http_.port(); }
 
   /// One synchronous tick: Poll the session now (exclusive lock), then
-  /// run the tick hook. Returns the number of WAL records applied.
+  /// run the tick hook (whether or not the Poll succeeded). Returns the
+  /// number of WAL records applied, or the Poll's error.
   Result<size_t> PollNow() STEDB_EXCLUDES(session_mu_);
 
   Stats stats() const;
   size_t dim() const { return dim_; }
 
  private:
-  EmbeddingService(api::ServingSession session, ServeOptions options);
+  EmbeddingService(api::ServingSession session, ServeOptions options,
+                   ScopedFd stop_read, ScopedFd stop_write);
 
   void RegisterHandlers();
-  void TickerLoop();
+  /// Waits in one poll() over an inotify watch on `dir` and the stop
+  /// pipe, timing out after poll_interval_ms; every wake drains the
+  /// queued change events and Polls once.
+  void TickerLoop(const std::string& dir);
   void CoalescerLoop();
 
   /// One queued single-fact lookup awaiting the coalescer.
@@ -147,9 +160,8 @@ class EmbeddingService {
   size_t dim_ = 0;
 
   /// Shared session: HTTP readers shared, Poll exclusive. Lock ordering:
-  /// session_mu_, embed_mu_ and ticker_mu_ are never held together —
-  /// the coalescer drops embed_mu_ before taking session_mu_ for its
-  /// round, and the ticker calls PollNow with ticker_mu_ released.
+  /// session_mu_ and embed_mu_ are never held together — the coalescer
+  /// drops embed_mu_ before taking session_mu_ for its round.
   mutable SharedMutex session_mu_;
   api::ServingSession session_ STEDB_GUARDED_BY(session_mu_);
 
@@ -163,10 +175,10 @@ class EmbeddingService {
   std::atomic<bool> stopping_{false};
   std::thread coalescer_;
 
-  // Ticker state. ticker_mu_ guards no data; it exists for the cv's
-  // timed waits, which is why nothing carries STEDB_GUARDED_BY on it.
-  Mutex ticker_mu_;
-  std::condition_variable ticker_cv_;
+  // Ticker state. Stop() closes the pipe's write end; the POLLHUP on the
+  // read end wakes the ticker's poll() at once.
+  ScopedFd stop_read_;
+  ScopedFd stop_write_;
   std::thread ticker_;
 
   /// Registry counter values at instance construction; stats() subtracts

@@ -1,8 +1,10 @@
 // The serve layer: the minimal HTTP stack, the EmbeddingService over a
 // shared ServingSession, request coalescing under concurrent clients, the
 // live-extension drill (trainer extends → ticker Polls → client sees the
-// new fact bit-identically over the wire), and the tick-hook flusher that
-// bounds an idle co-located writer's durability window.
+// new fact bit-identically over the wire), the change-driven ticker
+// (appends, compaction, Stop and Poll failures with a poll interval too
+// long to matter), and the tick-hook flusher that bounds an idle
+// co-located writer's durability window.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
 #include "src/fwd/trainer.h"
+#include "src/obs/metrics.h"
 #include "src/serve/http.h"
 #include "src/serve/service.h"
 #include "src/store/embedding_store.h"
@@ -133,6 +136,51 @@ struct ServedStore {
   std::unique_ptr<fwd::ForwardEmbedder> embedder;
   std::string dir;
 };
+
+/// GETs fact's raw vector until it is served (200) or `timeout` passes;
+/// returns the last response.
+serve::HttpResponse WaitServed(serve::HttpClient& client, db::FactId fact,
+                               std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  serve::HttpResponse last;
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto resp = client.Get("/embed?fact=" + std::to_string(fact) + "&raw=1");
+    if (!resp.ok()) {
+      ADD_FAILURE() << resp.status();
+      return last;
+    }
+    last = std::move(resp).value();
+    if (last.status == 200) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return last;
+}
+
+/// Waits until the service's ticker has made its start-up Poll, so that
+/// anything appended afterwards can only arrive through a change event.
+void WaitFirstPoll(const serve::EmbeddingService& service) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.stats().polls == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(service.stats().polls, 0u) << "ticker never made its first Poll";
+}
+
+/// A vector of `dim` distinct, non-round doubles (bit-exactness bait).
+la::Vector OddVector(size_t dim, double seed) {
+  la::Vector v(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    v[i] = seed / 3.0 + 0.1 * static_cast<double>(i);
+  }
+  return v;
+}
+
+/// Far longer than any test waits: a ticker that serves within it is
+/// change-driven, not timed.
+constexpr int kNeverMs = 60000;
+constexpr auto kServedWithin = std::chrono::seconds(5);
 
 /// Trains a small FoRWaRD model and persists it as a store directory.
 ServedStore MakeServedStore(const std::string& name) {
@@ -293,17 +341,8 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   ASSERT_TRUE(store.Sync().ok());
 
   // Within a few ticks the fact appears; bound the wait generously.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  serve::HttpResponse last;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto resp =
-        client.Get("/embed?fact=" + std::to_string(c4) + "&raw=1");
-    ASSERT_TRUE(resp.ok()) << resp.status();
-    last = std::move(resp).value();
-    if (last.status == 200) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const serve::HttpResponse last =
+      WaitServed(client, c4, std::chrono::seconds(10));
   ASSERT_EQ(last.status, 200) << "extension never became visible";
   ExpectRawBody(last.body, s.embedder->model().phi(c4));
 
@@ -360,6 +399,122 @@ TEST(EmbeddingServiceTest, TickHookFlushesIdleCoLocatedWriter) {
   }
   EXPECT_TRUE(flushed)
       << "idle writer's tail never became durable via the tick hook";
+  service.value()->Stop();
+}
+
+TEST(EmbeddingServiceTest, TickerServesAppendOnChangeNotInterval) {
+  ServedStore s = MakeServedStore("serve_ticker_append");
+  auto opened = store::EmbeddingStore::Open(s.dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  store::EmbeddingStore store = std::move(opened).value();
+
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = kNeverMs;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+  WaitFirstPoll(*service.value());
+
+  // No Sync: Append flushes each record, which is all a reader needs.
+  const la::Vector phi = OddVector(s.embedder->dim(), 1.0);
+  ASSERT_TRUE(store.Append(92000, phi).ok());
+  const serve::HttpResponse resp = WaitServed(client, 92000, kServedWithin);
+  ASSERT_EQ(resp.status, 200) << "append not served without a timed tick";
+  ExpectRawBody(resp.body, phi);
+  service.value()->Stop();
+}
+
+TEST(EmbeddingServiceTest, TickerWatchSurvivesCompaction) {
+  // Compaction renames a new snapshot in and recreates the journal; a
+  // watch on the old journal's inode would go deaf here.
+  ServedStore s = MakeServedStore("serve_ticker_compact");
+  auto opened = store::EmbeddingStore::Open(s.dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  store::EmbeddingStore store = std::move(opened).value();
+
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = kNeverMs;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+  WaitFirstPoll(*service.value());
+
+  const la::Vector before = OddVector(s.embedder->dim(), 2.0);
+  ASSERT_TRUE(store.Append(92001, before).ok());
+  ASSERT_EQ(WaitServed(client, 92001, kServedWithin).status, 200);
+  ASSERT_TRUE(store.Compact().ok());
+
+  const la::Vector after = OddVector(s.embedder->dim(), 3.0);
+  ASSERT_TRUE(store.Append(92002, after).ok());
+  const serve::HttpResponse resp = WaitServed(client, 92002, kServedWithin);
+  ASSERT_EQ(resp.status, 200) << "append after Compact() never served";
+  ExpectRawBody(resp.body, after);
+  const serve::HttpResponse folded = WaitServed(client, 92001, kServedWithin);
+  ASSERT_EQ(folded.status, 200);
+  ExpectRawBody(folded.body, before);
+  service.value()->Stop();
+}
+
+TEST(EmbeddingServiceTest, TickerStopsPromptly) {
+  ServedStore s = MakeServedStore("serve_ticker_stop");
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = kNeverMs;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  WaitFirstPoll(*service.value());  // the ticker now sits in its wait
+
+  const auto start = std::chrono::steady_clock::now();
+  service.value()->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "Stop() waited out the poll interval";
+}
+
+TEST(EmbeddingServiceTest, TickerCountsPollErrorsAndKeepsServing) {
+  ServedStore s = MakeServedStore("serve_ticker_errors");
+  auto opened = store::EmbeddingStore::Open(s.dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  store::EmbeddingStore store = std::move(opened).value();
+
+  std::atomic<int> hooks{0};
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = kNeverMs;
+  options.tick_hook = [&hooks] { hooks.fetch_add(1); };
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+  WaitFirstPoll(*service.value());
+
+  const obs::Counter* errors = obs::Registry::Global().FindCounter(
+      "stedb_serving_poll_errors_total");
+  ASSERT_NE(errors, nullptr);
+  const uint64_t errors_before = errors->Value();
+  const int hooks_before = hooks.load();
+
+  // Every Poll from here fails: the snapshot the session stats is gone.
+  std::filesystem::remove(store::EmbeddingStore::SnapshotPath(s.dir));
+  ASSERT_TRUE(store.Append(92003, OddVector(s.embedder->dim(), 4.0)).ok());
+  const auto deadline = std::chrono::steady_clock::now() + kServedWithin;
+  while ((errors->Value() == errors_before || hooks.load() == hooks_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(errors->Value(), errors_before) << "Poll failure not counted";
+  EXPECT_GT(hooks.load(), hooks_before) << "tick hook skipped after a failure";
+
+  // The live mapping still serves every snapshot fact.
+  const auto& [fact, phi] = *s.embedder->model().all_phi().begin();
+  auto resp = client.Get("/embed?fact=" + std::to_string(fact) + "&raw=1");
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp.value().status, 200);
+  ExpectRawBody(resp.value().body, phi);
   service.value()->Stop();
 }
 

@@ -1,8 +1,9 @@
 // stedb_serve: the networked embedding service — one store directory
 // behind an HTTP endpoint (serve::EmbeddingService over a shared
 // api::ServingSession). A trainer process keeps extending the same
-// directory; the server's Poll ticker tails the WAL so clients see new
-// facts within one poll interval, bit-identical to the trainer's model.
+// directory; the server's Poll ticker wakes on every change to the
+// directory and tails the WAL, so clients see new facts as soon as the
+// trainer flushes them, bit-identical to the trainer's model.
 //
 //   stedb_serve /path/to/store --port=8080
 //   curl 'localhost:8080/embed?fact=17'
@@ -61,7 +62,10 @@ int Usage(const char* argv0) {
                "  --port=0 picks an ephemeral port (printed on stdout)\n"
                "  --threads=0 resolves via STEDB_THREADS, else hardware "
                "concurrency\n"
-               "  --poll_ms=0 disables the WAL catch-up ticker\n"
+               "  --poll_ms=N bounds the WAL catch-up wait when no "
+               "change is reported\n"
+               "    (the ticker wakes on directory changes); 0 disables "
+               "the ticker\n"
                "  --ef-search=N sets /similar's HNSW beam width "
                "(0 = library default)\n"
                "  --metrics-dump-sec=N dumps /metrics text to stderr "
