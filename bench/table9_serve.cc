@@ -2,7 +2,7 @@
 // heavy traffic from a stored model" direction): a multi-threaded load
 // generator drives stedb_serve's HTTP endpoints and reports per-request
 // latency percentiles and aggregate QPS for
-//   * /embed        — coalesced single-fact lookups (raw payload),
+//   * /embed        — single-fact lookups (raw payload),
 //   * /embed_batch  — 32-fact batch reads,
 //   * /topk         — the serving-side φᵀψφ brute-force scorer.
 //
@@ -366,8 +366,8 @@ int main(int argc, char** argv) {
     if (r.failures > 0 || r.qps <= 0.0) ok = false;
   }
   std::printf("%s\n", table.Render().c_str());
-  std::printf("(loopback HTTP including coalescing; topk is the "
-              "brute-force φᵀψφ scan over %zu facts)\n",
+  std::printf("(loopback HTTP; topk is the brute-force φᵀψφ scan over "
+              "%zu facts)\n",
               facts.size());
 
   EmitServeJson(rows, threads, facts.size());

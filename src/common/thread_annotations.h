@@ -126,9 +126,8 @@ class STEDB_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// RAII exclusive lock that can be dropped and retaken mid-scope (the
-/// coalescer/ticker pattern: hold across waits, release around the slow
-/// work) and that interoperates with condition variables via native().
+/// RAII exclusive lock that interoperates with condition variables via
+/// native().
 /// cv.wait(lk.native()) atomically releases and reacquires the mutex;
 /// the analysis (correctly) treats the capability as held on both sides
 /// of the wait, since waits only ever happen while it is held.
@@ -136,13 +135,10 @@ class STEDB_SCOPED_CAPABILITY UniqueMutexLock {
  public:
   explicit UniqueMutexLock(Mutex& mu) STEDB_ACQUIRE(mu)
       : lock_(mu.native()) {}
-  ~UniqueMutexLock() STEDB_RELEASE() {}  // unique_lock unlocks iff held
+  ~UniqueMutexLock() STEDB_RELEASE() {}
 
   UniqueMutexLock(const UniqueMutexLock&) = delete;
   UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
-
-  void Lock() STEDB_ACQUIRE() { lock_.lock(); }
-  void Unlock() STEDB_RELEASE() { lock_.unlock(); }
 
   /// For std::condition_variable::wait/wait_for only.
   std::unique_lock<std::mutex>& native() { return lock_; }

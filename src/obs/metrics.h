@@ -100,7 +100,7 @@ struct Buckets {
   /// different subsystems land on comparable grids.
   static Buckets Latency();
   /// Powers of two from 1 to 65536, for size/count distributions
-  /// (coalesced batch sizes, group-commit batches, fan-out widths).
+  /// (facts per embed call, group-commit batches, fan-out widths).
   static Buckets PowersOfTwo();
   /// `count` bounds starting at `first`, each `factor` times the last.
   static Buckets Exponential(double first, double factor, size_t count);

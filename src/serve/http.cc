@@ -19,7 +19,8 @@ namespace {
 
 constexpr size_t kMaxHeaderBytes = 16 * 1024;
 constexpr size_t kMaxBodyBytes = 8 * 1024 * 1024;
-/// recv timeout per wait; workers re-check the stop flag this often.
+/// recv timeout per wait. Idle keep-alive reads just wait again (Stop()
+/// wakes them with a read shutdown); a started request is bounded below.
 constexpr int kRecvTimeoutMs = 250;
 /// A started request (bytes seen) must complete within this many waits.
 constexpr int kMaxPartialWaits = 40;  // 10 s at 250 ms
@@ -190,9 +191,13 @@ void HttpServer::Stop() {
   // shutdown() unblocks a blocked accept() without touching the
   // descriptor value the accept thread is still reading; the actual
   // close must wait until that thread has joined. The queue cv unblocks
-  // workers; the recv timeout unblocks any worker inside a keep-alive
-  // read.
+  // idle workers. A read shutdown ends any worker's keep-alive recv at
+  // once, while a response still being written goes out whole.
   ::shutdown(listen_fd_.get(), SHUT_RDWR);
+  {
+    MutexLock lk(queue_mu_);
+    for (int fd : serving_conns_) ::shutdown(fd, SHUT_RD);
+  }
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   listen_fd_.Reset();
@@ -235,8 +240,13 @@ void HttpServer::WorkerLoop() {
       if (pending_conns_.empty()) return;  // stopping
       conn = pending_conns_.front();
       pending_conns_.pop_front();
+      serving_conns_.insert(conn);
     }
     ServeConnection(conn);
+    {
+      MutexLock lk(queue_mu_);
+      serving_conns_.erase(conn);
+    }
     ::close(conn);
   }
 }

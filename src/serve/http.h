@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,9 @@ class HttpServer {
   std::condition_variable queue_cv_;
   /// Accepted fds awaiting a worker.
   std::deque<int> pending_conns_ STEDB_GUARDED_BY(queue_mu_);
+  /// Fds a worker is serving. A worker erases its fd before closing it,
+  /// so Stop() can shut down every fd here without racing a reuse.
+  std::set<int> serving_conns_ STEDB_GUARDED_BY(queue_mu_);
 };
 
 /// Blocking keep-alive HTTP client for the load generator, the demo drill

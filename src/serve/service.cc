@@ -26,19 +26,16 @@ namespace stedb::serve {
 
 namespace {
 
-/// Registry series of the serve layer. Counters are process-cumulative;
-/// /stats subtracts a per-instance baseline (see CounterBaseline). The
-/// per-endpoint request series live next to these but are registered in
-/// RegisterHandlers, where the endpoint label value is known.
+/// Registry series of the serve layer. Counters are process-cumulative,
+/// and /stats reports them as they are. The per-endpoint request series
+/// live next to these but are registered in RegisterHandlers, where the
+/// endpoint label value is known.
 struct ServeMetrics {
   obs::Registry& reg = obs::Registry::Global();
   obs::Counter& embeds = reg.GetCounter(
       "stedb_serve_embeds_total", "Single-fact lookups served");
   obs::Counter& embed_batches = reg.GetCounter(
       "stedb_serve_embed_batches_total", "/embed_batch requests served");
-  obs::Counter& coalesce_rounds = reg.GetCounter(
-      "stedb_serve_coalesce_rounds_total",
-      "EmbedBatch calls made by the coalescer");
   obs::Counter& topk_queries = reg.GetCounter(
       "stedb_serve_topk_queries_total", "/topk queries served");
   obs::Counter& similar_queries = reg.GetCounter(
@@ -46,12 +43,11 @@ struct ServeMetrics {
       "/similar queries served (approximate and exact paths)");
   obs::Gauge& inflight = reg.GetGauge(
       "stedb_serve_inflight_requests", "HTTP requests currently in flight");
-  obs::Gauge& max_coalesced = reg.GetGauge(
-      "stedb_serve_max_coalesced_records",
-      "Largest single coalesced embed round seen by this process");
-  obs::Histogram& coalesced_batch = reg.GetHistogram(
-      "stedb_serve_coalesced_batch_records",
-      "Lookups per coalesced embed round", obs::Buckets::PowersOfTwo());
+  // The family name outlived the coalescer it was named for:
+  // perfbench/ledger.cc reads it as serve.coalesce_records_mean.
+  obs::Histogram& facts_per_call = reg.GetHistogram(
+      "stedb_serve_coalesced_batch_records", "Facts per session embed call",
+      obs::Buckets::PowersOfTwo());
 };
 
 ServeMetrics& Metrics() {
@@ -202,18 +198,7 @@ EmbeddingService::EmbeddingService(api::ServingSession session,
   // (writer families render at zero instead of disappearing).
   store::TouchStoreMetrics();
   fwd::TouchTrainMetrics();
-  const ServeMetrics& m = Metrics();
-  baseline_.embeds = m.embeds.Value();
-  baseline_.embed_batches = m.embed_batches.Value();
-  baseline_.coalesce_rounds = m.coalesce_rounds.Value();
-  baseline_.topk_queries = m.topk_queries.Value();
-  baseline_.similar_queries = m.similar_queries.Value();
-  baseline_.polls = ServingCounter("stedb_serving_polls_total");
-  baseline_.wal_records_applied =
-      ServingCounter("stedb_serving_wal_records_applied_total");
-  baseline_.reopens = ServingCounter("stedb_serving_reopens_total");
   RegisterHandlers();
-  coalescer_ = std::thread([this] { CoalescerLoop(); });
   if (options_.poll_interval_ms > 0) {
     ticker_ = std::thread([this, dir = session_.dir()] { TickerLoop(dir); });
   }
@@ -225,15 +210,7 @@ Status EmbeddingService::Start(const std::string& host, int port) {
 
 void EmbeddingService::Stop() {
   if (stopping_.exchange(true)) return;
-  // Order matters: the HTTP server drains first while the coalescer is
-  // still alive, so in-flight /embed handlers blocked on a coalesced
-  // round get their result instead of deadlocking the worker join.
   http_.Stop();
-  {
-    MutexLock lk(embed_mu_);
-    embed_work_cv_.notify_all();
-  }
-  if (coalescer_.joinable()) coalescer_.join();
   stop_write_.Reset();  // the read end's POLLHUP wakes the ticker
   if (ticker_.joinable()) ticker_.join();
 }
@@ -278,82 +255,6 @@ void EmbeddingService::TickerLoop(const std::string& dir) {
         (fds[1].revents & POLLIN) != 0) {
       DrainEvents(watch.get());
     }
-  }
-}
-
-// ---- Request coalescing ------------------------------------------------
-
-EmbeddingService::PendingEmbed EmbeddingService::CoalescedEmbed(
-    db::FactId fact) {
-  PendingEmbed slot;
-  slot.fact = fact;
-  UniqueMutexLock lk(embed_mu_);
-  if (stopping_.load(std::memory_order_acquire)) {
-    slot.status = Status::FailedPrecondition("service stopping");
-    slot.done = true;
-    return slot;
-  }
-  embed_queue_.push_back(&slot);
-  embed_work_cv_.notify_one();
-  while (!slot.done) embed_done_cv_.wait(lk.native());
-  return slot;
-}
-
-void EmbeddingService::CoalescerLoop() {
-  UniqueMutexLock lk(embed_mu_);
-  for (;;) {
-    while (embed_queue_.empty() &&
-           !stopping_.load(std::memory_order_acquire)) {
-      embed_work_cv_.wait(lk.native());
-    }
-    if (embed_queue_.empty() &&
-        stopping_.load(std::memory_order_acquire)) {
-      return;
-    }
-    // Take everything queued while the previous round ran — the natural
-    // coalescing window, exactly like group commit.
-    std::vector<PendingEmbed*> round;
-    round.swap(embed_queue_);
-    lk.Unlock();
-
-    std::vector<db::FactId> facts;
-    facts.reserve(round.size());
-    for (PendingEmbed* slot : round) facts.push_back(slot->fact);
-    la::Matrix out(round.size(), dim_);
-    {
-      SharedMutexLock slk(session_mu_);
-      const Status st = session_.EmbedBatch(facts, out);
-      if (st.ok()) {
-        for (size_t i = 0; i < round.size(); ++i) {
-          round[i]->phi.assign(out.RowPtr(i), out.RowPtr(i) + dim_);
-        }
-      } else {
-        // One unknown fact fails the whole batch — resolve each request
-        // individually so the other callers still get their vector.
-        for (PendingEmbed* slot : round) {
-          auto v = session_.Embed(slot->fact);
-          if (v.ok()) {
-            slot->phi.assign(v.value().begin(), v.value().end());
-          } else {
-            slot->status = v.status();
-          }
-        }
-      }
-    }
-    ServeMetrics& m = Metrics();
-    m.coalesce_rounds.Inc();
-    m.embeds.Inc(round.size());
-    m.coalesced_batch.Observe(static_cast<double>(round.size()));
-    m.max_coalesced.SetMax(static_cast<double>(round.size()));
-    uint64_t seen = max_coalesced_.load(std::memory_order_relaxed);
-    while (round.size() > seen &&
-           !max_coalesced_.compare_exchange_weak(
-               seen, round.size(), std::memory_order_relaxed)) {
-    }
-
-    lk.Lock();
-    for (PendingEmbed* slot : round) slot->done = true;
-    embed_done_cv_.notify_all();
   }
 }
 
@@ -412,20 +313,29 @@ HttpResponse EmbeddingService::HandleEmbed(const HttpRequest& req) {
   }
   const auto fact =
       static_cast<db::FactId>(req.ParamInt("fact", db::kNoFact));
-  PendingEmbed served = CoalescedEmbed(fact);
-  if (!served.status.ok()) return ErrorResponse(served.status);
-
-  if (req.ParamInt("raw", 0) != 0) {
-    HttpResponse resp;
-    resp.content_type = "application/octet-stream";
-    AppendRawVector(resp.body, served.phi);
-    return resp;
-  }
+  const bool raw = req.ParamInt("raw", 0) != 0;
   HttpResponse resp;
-  resp.body = "{\"fact\":" + std::to_string(fact) +
-              ",\"dim\":" + std::to_string(dim_) + ",\"phi\":";
-  AppendJsonVector(resp.body, served.phi);
-  resp.body += "}\n";
+  if (raw) {
+    resp.content_type = "application/octet-stream";
+  } else {
+    resp.body = "{\"fact\":" + std::to_string(fact) +
+                ",\"dim\":" + std::to_string(dim_) + ",\"phi\":";
+  }
+  Metrics().embeds.Inc();
+  {
+    // The span views the mapping (or the overlay), which a Poll may
+    // replace, so it is serialized before the shared lock drops.
+    SharedMutexLock lk(session_mu_);
+    const Result<Span<const double>> phi = session_.Embed(fact);
+    if (!phi.ok()) return ErrorResponse(phi.status());
+    if (raw) {
+      AppendRawVector(resp.body, phi.value());
+    } else {
+      AppendJsonVector(resp.body, phi.value());
+    }
+  }
+  Metrics().facts_per_call.Observe(1.0);
+  if (!raw) resp.body += "}\n";
   return resp;
 }
 
@@ -450,6 +360,7 @@ HttpResponse EmbeddingService::HandleEmbedBatch(const HttpRequest& req) {
     if (!st.ok()) return ErrorResponse(st);
   }
   Metrics().embed_batches.Inc();
+  Metrics().facts_per_call.Observe(static_cast<double>(facts.size()));
 
   if (req.ParamInt("raw", 0) != 0) {
     HttpResponse resp;
@@ -596,8 +507,6 @@ HttpResponse EmbeddingService::HandleStats(const HttpRequest&) {
       ",\"http_requests\":" + std::to_string(http_.requests_served()) +
       ",\"embeds\":" + std::to_string(s.embeds) +
       ",\"embed_batches\":" + std::to_string(s.embed_batches) +
-      ",\"coalesce_rounds\":" + std::to_string(s.coalesce_rounds) +
-      ",\"max_coalesced\":" + std::to_string(s.max_coalesced) +
       ",\"topk_queries\":" + std::to_string(s.topk_queries) +
       ",\"similar_queries\":" + std::to_string(s.similar_queries) +
       ",\"polls\":" + std::to_string(s.polls) +
@@ -620,20 +529,14 @@ EmbeddingService::Stats EmbeddingService::stats() const {
   const ServeMetrics& m = Metrics();
   Stats s;
   s.http_requests = http_.requests_served();
-  s.embeds = m.embeds.Value() - baseline_.embeds;
-  s.embed_batches = m.embed_batches.Value() - baseline_.embed_batches;
-  s.coalesce_rounds =
-      m.coalesce_rounds.Value() - baseline_.coalesce_rounds;
-  s.max_coalesced = max_coalesced_.load(std::memory_order_relaxed);
-  s.topk_queries = m.topk_queries.Value() - baseline_.topk_queries;
-  s.similar_queries =
-      m.similar_queries.Value() - baseline_.similar_queries;
-  s.polls = ServingCounter("stedb_serving_polls_total") - baseline_.polls;
+  s.embeds = m.embeds.Value();
+  s.embed_batches = m.embed_batches.Value();
+  s.topk_queries = m.topk_queries.Value();
+  s.similar_queries = m.similar_queries.Value();
+  s.polls = ServingCounter("stedb_serving_polls_total");
   s.wal_records_applied =
-      ServingCounter("stedb_serving_wal_records_applied_total") -
-      baseline_.wal_records_applied;
-  s.reopens =
-      ServingCounter("stedb_serving_reopens_total") - baseline_.reopens;
+      ServingCounter("stedb_serving_wal_records_applied_total");
+  s.reopens = ServingCounter("stedb_serving_reopens_total");
   return s;
 }
 

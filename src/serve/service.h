@@ -2,7 +2,6 @@
 #define STEDB_SERVE_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -68,29 +67,21 @@ struct ServeOptions {
 ///   GET /stats                        counters + store shape
 ///   GET /healthz                      liveness probe
 ///
-/// Concurrency model: HTTP workers take the session lock shared; the
+/// Concurrency model: HTTP workers take the session lock shared and copy
+/// or score straight out of the mapped snapshot while holding it; the
 /// Poll ticker takes it exclusive (Poll may remap the snapshot and grow
-/// the overlay, invalidating served views). Concurrent single-fact
-/// /embed lookups do NOT each hit the session: they are queued and a
-/// dedicated coalescer thread drains the queue into one
-/// ServingSession::EmbedBatch call per round — the group-commit pattern
-/// applied to reads — so N concurrent lookups cost one batched fan-out
-/// on the shared ParallelRunner pool instead of N scalar walks.
+/// the overlay, invalidating served views). A single-fact /embed is one
+/// shared-lock row copy on the calling worker, no handoff.
 class EmbeddingService {
  public:
-  /// Counters exposed by /stats (and asserted by tests). Since the obs
-  /// migration these are views over the process-global obs::Registry —
-  /// the same series GET /metrics renders, so the two endpoints can
-  /// never disagree — reported relative to a baseline captured when this
-  /// service instance was opened (the registry is cumulative across
-  /// instances; /stats stays per-instance, which is what the tests and
-  /// the existing JSON consumers assume).
+  /// Counters exposed by /stats (and asserted by tests). All but
+  /// http_requests are views over the process-global obs::Registry: the
+  /// same process-cumulative series GET /metrics renders, so the two
+  /// endpoints can never disagree.
   struct Stats {
-    uint64_t http_requests = 0;
+    uint64_t http_requests = 0;     ///< requests this service's server read
     uint64_t embeds = 0;            ///< single-fact lookups served
     uint64_t embed_batches = 0;     ///< /embed_batch requests
-    uint64_t coalesce_rounds = 0;   ///< EmbedBatch calls the coalescer made
-    uint64_t max_coalesced = 0;     ///< largest single coalesced round
     uint64_t topk_queries = 0;
     uint64_t similar_queries = 0;   ///< /similar requests (approx + exact)
     uint64_t polls = 0;             ///< Poll() calls, failed ones included
@@ -110,7 +101,7 @@ class EmbeddingService {
   /// Binds and starts serving; port 0 picks an ephemeral port.
   Status Start(const std::string& host, int port);
 
-  /// Stops the HTTP server and the ticker/coalescer threads. Idempotent.
+  /// Stops the HTTP server and the ticker thread. Idempotent.
   void Stop();
 
   int port() const { return http_.port(); }
@@ -132,21 +123,6 @@ class EmbeddingService {
   /// pipe, timing out after poll_interval_ms; every wake drains the
   /// queued change events and Polls once.
   void TickerLoop(const std::string& dir);
-  void CoalescerLoop();
-
-  /// One queued single-fact lookup awaiting the coalescer.
-  struct PendingEmbed {
-    db::FactId fact = db::kNoFact;
-    la::Vector phi;
-    Status status;
-    /// Written by the coalescer, read by the waiting handler — both under
-    /// embed_mu_. (A nested struct cannot spell STEDB_GUARDED_BY on the
-    /// enclosing service's member, so the discipline is stated here.)
-    bool done = false;
-  };
-
-  /// Blocks until the coalescer has served `fact`.
-  PendingEmbed CoalescedEmbed(db::FactId fact) STEDB_EXCLUDES(embed_mu_);
 
   HttpResponse HandleEmbed(const HttpRequest& req);
   HttpResponse HandleEmbedBatch(const HttpRequest& req);
@@ -159,48 +135,18 @@ class EmbeddingService {
   ServeOptions options_;
   size_t dim_ = 0;
 
-  /// Shared session: HTTP readers shared, Poll exclusive. Lock ordering:
-  /// session_mu_ and embed_mu_ are never held together — the coalescer
-  /// drops embed_mu_ before taking session_mu_ for its round.
+  /// Shared session: HTTP readers shared, Poll exclusive.
   mutable SharedMutex session_mu_;
   api::ServingSession session_ STEDB_GUARDED_BY(session_mu_);
 
   HttpServer http_;
 
-  // Coalescer state.
-  Mutex embed_mu_;
-  std::condition_variable embed_work_cv_;  ///< wakes the coalescer
-  std::condition_variable embed_done_cv_;  ///< wakes waiting handlers
-  std::vector<PendingEmbed*> embed_queue_ STEDB_GUARDED_BY(embed_mu_);
-  std::atomic<bool> stopping_{false};
-  std::thread coalescer_;
-
   // Ticker state. Stop() closes the pipe's write end; the POLLHUP on the
   // read end wakes the ticker's poll() at once.
+  std::atomic<bool> stopping_{false};
   ScopedFd stop_read_;
   ScopedFd stop_write_;
   std::thread ticker_;
-
-  /// Registry counter values at instance construction; stats() subtracts
-  /// them so /stats counts this service's lifetime while /metrics stays
-  /// process-cumulative. (Two *concurrently* live services in one process
-  /// would bleed into each other's deltas — the supported topology is one
-  /// service per process, or sequential instances as in the tests.)
-  struct CounterBaseline {
-    uint64_t embeds = 0;
-    uint64_t embed_batches = 0;
-    uint64_t coalesce_rounds = 0;
-    uint64_t topk_queries = 0;
-    uint64_t similar_queries = 0;
-    uint64_t polls = 0;
-    uint64_t wal_records_applied = 0;
-    uint64_t reopens = 0;
-  };
-  CounterBaseline baseline_;
-
-  /// A max is not delta-able against a baseline; it stays per-instance
-  /// (and is mirrored into a registry gauge as a process-wide ratchet).
-  std::atomic<uint64_t> max_coalesced_{0};
 };
 
 /// Extracts every signed integer from `text` — the lenient fact-id list

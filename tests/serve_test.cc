@@ -1,5 +1,5 @@
 // The serve layer: the minimal HTTP stack, the EmbeddingService over a
-// shared ServingSession, request coalescing under concurrent clients, the
+// shared ServingSession, byte-exact lookups under concurrent clients, the
 // live-extension drill (trainer extends → ticker Polls → client sees the
 // new fact bit-identically over the wire), the change-driven ticker
 // (appends, compaction, Stop and Poll failures with a poll interval too
@@ -122,6 +122,25 @@ TEST(HttpServerTest, ServesRegisteredPathsOverKeepAlive) {
   server.Stop();  // idempotent
 }
 
+TEST(HttpServerTest, StopIsPromptWithIdleKeepAliveClient) {
+  serve::HttpServer server;
+  server.Handle("/ping", [](const serve::HttpRequest&) {
+    return serve::HttpResponse{200, "text/plain", "pong"};
+  });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0, 1).ok());
+  serve::HttpClient client = ConnectOrDie(server.port());
+  auto resp = client.Get("/ping");
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp.value().status, 200);
+
+  // The connection stays open, so the worker sits in its keep-alive read.
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50))
+      << "Stop() waited out the keep-alive read timeout";
+}
+
 TEST(HttpServerTest, StartFailsOnBadHostAndStopIsIdempotent) {
   serve::HttpServer server;
   EXPECT_FALSE(server.Start("not-an-ip", 0, 1).ok());
@@ -156,16 +175,26 @@ serve::HttpResponse WaitServed(serve::HttpClient& client, db::FactId fact,
   return last;
 }
 
+/// A process-cumulative stedb_serving_* counter, as /stats reports it;
+/// read before a service is opened, its own Polls then show as a delta.
+uint64_t ServingCount(const char* name) {
+  const obs::Counter* c = obs::Registry::Global().FindCounter(name);
+  return c != nullptr ? c->Value() : 0;
+}
+
 /// Waits until the service's ticker has made its start-up Poll, so that
 /// anything appended afterwards can only arrive through a change event.
-void WaitFirstPoll(const serve::EmbeddingService& service) {
+/// `polls_before` is stedb_serving_polls_total from before the Open.
+void WaitFirstPoll(const serve::EmbeddingService& service,
+                   uint64_t polls_before) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (service.stats().polls == 0 &&
+  while (service.stats().polls == polls_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GT(service.stats().polls, 0u) << "ticker never made its first Poll";
+  ASSERT_GT(service.stats().polls, polls_before)
+      << "ticker never made its first Poll";
 }
 
 /// A vector of `dim` distinct, non-round doubles (bit-exactness bait).
@@ -205,6 +234,7 @@ TEST(EmbeddingServiceTest, EndpointsServeBitIdenticalVectors) {
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   serve::HttpClient client = ConnectOrDie(service.value()->port());
+  const serve::EmbeddingService::Stats before = service.value()->stats();
 
   // Every trained vector over the wire, bit-identical via raw mode.
   for (const auto& [f, v] : s.embedder->model().all_phi()) {
@@ -257,15 +287,15 @@ TEST(EmbeddingServiceTest, EndpointsServeBitIdenticalVectors) {
   EXPECT_EQ(client.Get("/healthz").value().status, 200);
   EXPECT_EQ(client.Get("/stats").value().status, 200);
 
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_GT(stats.embeds, 0u);
-  EXPECT_EQ(stats.embed_batches, 1u);
-  EXPECT_EQ(stats.topk_queries, 1u);
+  const serve::EmbeddingService::Stats after = service.value()->stats();
+  EXPECT_GT(after.embeds, before.embeds);
+  EXPECT_EQ(after.embed_batches - before.embed_batches, 1u);
+  EXPECT_EQ(after.topk_queries - before.topk_queries, 1u);
   service.value()->Stop();
 }
 
-TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
-  ServedStore s = MakeServedStore("serve_coalesce");
+TEST(EmbeddingServiceTest, ConcurrentSingleFactLookupsAreByteExact) {
+  ServedStore s = MakeServedStore("serve_concurrent");
   serve::ServeOptions options;
   options.http_threads = 4;
   options.poll_interval_ms = 0;
@@ -273,13 +303,23 @@ TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   const int port = service.value()->port();
+  const obs::Histogram* facts_per_call = obs::Registry::Global().FindHistogram(
+      "stedb_serve_coalesced_batch_records");
+  ASSERT_NE(facts_per_call, nullptr);
+  const uint64_t embeds_before = service.value()->stats().embeds;
+  const uint64_t calls_before = facts_per_call->Count();
 
   std::vector<std::pair<db::FactId, la::Vector>> facts(
       s.embedder->model().all_phi().begin(),
       s.embedder->model().all_phi().end());
   constexpr int kThreads = 4;
   constexpr int kLookupsPerThread = 50;
+  // Every kUnknownEvery-th lookup asks for a fact that is not served; its
+  // 404 must not disturb the lookups racing it.
+  constexpr int kUnknownEvery = 5;
+  constexpr db::FactId kUnknownFact = 987654;
   std::atomic<int> failures{0};
+  std::atomic<int> served{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
@@ -289,6 +329,15 @@ TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
         return;
       }
       for (int i = 0; i < kLookupsPerThread; ++i) {
+        if ((t + i) % kUnknownEvery == 0) {
+          auto resp = conn.value().Get(
+              "/embed?fact=" + std::to_string(kUnknownFact) + "&raw=1");
+          if (!resp.ok() || resp.value().status != 404) {
+            failures.fetch_add(1);
+            return;
+          }
+          continue;
+        }
         const auto& [fact, phi] = facts[(t + i) % facts.size()];
         auto resp = conn.value().Get("/embed?fact=" +
                                      std::to_string(fact) + "&raw=1");
@@ -299,20 +348,20 @@ TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
           failures.fetch_add(1);
           return;
         }
+        served.fetch_add(1);
       }
     });
   }
   for (std::thread& th : clients) th.join();
   ASSERT_EQ(failures.load(), 0);
+  ASSERT_GT(served.load(), 0);
+  ASSERT_LT(served.load(), kThreads * kLookupsPerThread);
 
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_EQ(stats.embeds,
+  // Every lookup counts; only a served one is a session embed call.
+  EXPECT_EQ(service.value()->stats().embeds - embeds_before,
             static_cast<uint64_t>(kThreads * kLookupsPerThread));
-  // Every lookup went through the coalescer; rounds can never exceed
-  // lookups, and each round served at least one.
-  EXPECT_GT(stats.coalesce_rounds, 0u);
-  EXPECT_LE(stats.coalesce_rounds, stats.embeds);
-  EXPECT_GE(stats.max_coalesced, 1u);
+  EXPECT_EQ(facts_per_call->Count() - calls_before,
+            static_cast<uint64_t>(served.load()));
   service.value()->Stop();
 }
 
@@ -329,6 +378,9 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   serve::ServeOptions options;
   options.http_threads = 2;
   options.poll_interval_ms = 5;
+  const uint64_t polls_before = ServingCount("stedb_serving_polls_total");
+  const uint64_t applied_before =
+      ServingCount("stedb_serving_wal_records_applied_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
@@ -347,8 +399,8 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   ExpectRawBody(last.body, s.embedder->model().phi(c4));
 
   const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_GT(stats.polls, 0u);
-  EXPECT_GE(stats.wal_records_applied, 1u);
+  EXPECT_GT(stats.polls, polls_before);
+  EXPECT_GE(stats.wal_records_applied - applied_before, 1u);
   service.value()->Stop();
 }
 
@@ -411,11 +463,12 @@ TEST(EmbeddingServiceTest, TickerServesAppendOnChangeNotInterval) {
   serve::ServeOptions options;
   options.http_threads = 1;
   options.poll_interval_ms = kNeverMs;
+  const uint64_t polls_before = ServingCount("stedb_serving_polls_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   serve::HttpClient client = ConnectOrDie(service.value()->port());
-  WaitFirstPoll(*service.value());
+  WaitFirstPoll(*service.value(), polls_before);
 
   // No Sync: Append flushes each record, which is all a reader needs.
   const la::Vector phi = OddVector(s.embedder->dim(), 1.0);
@@ -437,11 +490,12 @@ TEST(EmbeddingServiceTest, TickerWatchSurvivesCompaction) {
   serve::ServeOptions options;
   options.http_threads = 1;
   options.poll_interval_ms = kNeverMs;
+  const uint64_t polls_before = ServingCount("stedb_serving_polls_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   serve::HttpClient client = ConnectOrDie(service.value()->port());
-  WaitFirstPoll(*service.value());
+  WaitFirstPoll(*service.value(), polls_before);
 
   const la::Vector before = OddVector(s.embedder->dim(), 2.0);
   ASSERT_TRUE(store.Append(92001, before).ok());
@@ -464,10 +518,12 @@ TEST(EmbeddingServiceTest, TickerStopsPromptly) {
   serve::ServeOptions options;
   options.http_threads = 1;
   options.poll_interval_ms = kNeverMs;
+  const uint64_t polls_before = ServingCount("stedb_serving_polls_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
-  WaitFirstPoll(*service.value());  // the ticker now sits in its wait
+  // The ticker now sits in its wait.
+  WaitFirstPoll(*service.value(), polls_before);
 
   const auto start = std::chrono::steady_clock::now();
   service.value()->Stop();
@@ -486,11 +542,12 @@ TEST(EmbeddingServiceTest, TickerCountsPollErrorsAndKeepsServing) {
   options.http_threads = 1;
   options.poll_interval_ms = kNeverMs;
   options.tick_hook = [&hooks] { hooks.fetch_add(1); };
+  const uint64_t polls_before = ServingCount("stedb_serving_polls_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   serve::HttpClient client = ConnectOrDie(service.value()->port());
-  WaitFirstPoll(*service.value());
+  WaitFirstPoll(*service.value(), polls_before);
 
   const obs::Counter* errors = obs::Registry::Global().FindCounter(
       "stedb_serving_poll_errors_total");

@@ -147,11 +147,9 @@ int main(int argc, char** argv) {
 
   service.value()->Stop();
   const serve::EmbeddingService::Stats stats = service.value()->stats();
-  std::printf("stopped: %llu requests, %llu embeds (%llu coalesce rounds), "
-              "%llu topk, %llu polls\n",
+  std::printf("stopped: %llu requests, %llu embeds, %llu topk, %llu polls\n",
               static_cast<unsigned long long>(stats.http_requests),
               static_cast<unsigned long long>(stats.embeds),
-              static_cast<unsigned long long>(stats.coalesce_rounds),
               static_cast<unsigned long long>(stats.topk_queries),
               static_cast<unsigned long long>(stats.polls));
   return 0;
