@@ -1,7 +1,7 @@
-// The two built-in embedding methods of the paper, adapted to the
-// api::Embedder interface and registered with the method registry. This is
-// the only file that knows both concrete embedders; everything above it
-// (experiments, benches, examples, serving) goes through the registry.
+// The paper's two embedding methods, adapted to the api::Embedder
+// interface, and CreateMethod, which picks one by name. This is the only
+// file that knows both concrete embedders; everything above it
+// (experiments, benches, examples) goes through CreateMethod.
 #include <limits>
 #include <memory>
 #include <optional>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/api/embedder.h"
-#include "src/api/registry.h"
+#include "src/common/string_util.h"
 #include "src/fwd/codec.h"
 #include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
@@ -28,6 +28,9 @@ class ForwardMethod : public Embedder {
 
   Status TrainStatic(const db::Database* database, db::RelationId rel,
                      const AttrKeySet& excluded) override {
+    if (database == nullptr) {
+      return Status::InvalidArgument("TrainStatic: database must not be null");
+    }
     auto res =
         fwd::ForwardEmbedder::TrainStatic(database, rel, excluded, config_);
     if (!res.ok()) return res.status();
@@ -110,6 +113,9 @@ class Node2VecMethod : public Embedder {
   Status TrainStatic(const db::Database* database, db::RelationId rel,
                      const AttrKeySet& excluded) override {
     (void)rel;  // Node2Vec embeds every fact; the relation is not special.
+    if (database == nullptr) {
+      return Status::InvalidArgument("TrainStatic: database must not be null");
+    }
     for (const fwd::AttrKey& k : excluded) {
       config_.graph.excluded_columns.insert({k.rel, k.attr});
     }
@@ -185,27 +191,20 @@ class Node2VecMethod : public Embedder {
 
 }  // namespace
 
-namespace internal {
-
-// Enumerated (not self-registering) so the registry TU can install the
-// built-ins under its own lock without a cross-TU "caller holds the
-// lock" contract the thread-safety analysis cannot see.
-std::vector<std::pair<std::string, MethodFactory>> BuiltinMethods() {
-  std::vector<std::pair<std::string, MethodFactory>> methods;
-  methods.emplace_back(
-      "forward",
-      [](const MethodOptions& options, uint64_t seed)
-          -> std::unique_ptr<Embedder> {
-        return std::make_unique<ForwardMethod>(options, seed);
-      });
-  methods.emplace_back(
-      "node2vec",
-      [](const MethodOptions& options, uint64_t seed)
-          -> std::unique_ptr<Embedder> {
-        return std::make_unique<Node2VecMethod>(options, seed);
-      });
-  return methods;
+Result<std::unique_ptr<Embedder>> CreateMethod(const std::string& name,
+                                               const MethodOptions& options,
+                                               uint64_t seed) {
+  const std::string key = ToLower(name);
+  std::unique_ptr<Embedder> method;
+  if (key == "forward") {
+    method = std::make_unique<ForwardMethod>(options, seed);
+  } else if (key == "node2vec") {
+    method = std::make_unique<Node2VecMethod>(options, seed);
+  } else {
+    return Status::NotFound("unknown embedding method '" + name +
+                            "' (known: forward, node2vec)");
+  }
+  return method;
 }
 
-}  // namespace internal
 }  // namespace stedb::api

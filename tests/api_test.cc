@@ -1,16 +1,15 @@
-// The public api layer: method registry semantics, the Engine facade, the
-// batch read path (EmbedBatch vs scalar Embed must be bit-identical for
-// both built-in methods, before and after dynamic extensions, at any
-// thread count), and the fatal STEDB_SCALE rejection.
+// The public api layer: CreateMethod's name lookup, TrainStatic's null
+// check, journaling through either method, the batch read path (EmbedBatch
+// vs scalar Embed must be bit-identical for both methods, before and after
+// dynamic extensions, at any thread count), and the fatal STEDB_SCALE
+// rejection.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 
-#include "src/api/engine.h"
-#include "src/api/registry.h"
+#include "src/api/embedder.h"
 #include "src/data/registry.h"
 #include "src/exp/embedding_method.h"
 #include "src/exp/partition.h"
@@ -27,118 +26,72 @@ exp::MethodConfig SmokeOptions() {
   return exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
 }
 
-// ---- Registry ----------------------------------------------------------
+// ---- CreateMethod ------------------------------------------------------
 
-TEST(RegistryTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> names = api::RegisteredMethods();
-  EXPECT_NE(std::find(names.begin(), names.end(), "forward"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "node2vec"), names.end());
+/// CreateMethod + TrainStatic, failing the test on any error.
+std::unique_ptr<api::Embedder> Trained(const db::Database& database,
+                                       const std::string& method,
+                                       const api::MethodOptions& options,
+                                       uint64_t seed) {
+  auto created = api::CreateMethod(method, options, seed);
+  EXPECT_TRUE(created.ok()) << created.status();
+  if (!created.ok()) return nullptr;
+  std::unique_ptr<api::Embedder> embedder = std::move(created).value();
+  const Status st = embedder->TrainStatic(
+      &database, database.schema().RelationIndex("COLLABORATIONS"), {});
+  EXPECT_TRUE(st.ok()) << st;
+  if (!st.ok()) return nullptr;
+  return embedder;
 }
 
-TEST(RegistryTest, LookupIsCaseInsensitive) {
+TEST(CreateMethodTest, LookupIsCaseInsensitive) {
   EXPECT_TRUE(api::CreateMethod("FoRWaRD", SmokeOptions(), 1).ok());
   EXPECT_TRUE(api::CreateMethod("Node2Vec", SmokeOptions(), 1).ok());
 }
 
-TEST(RegistryTest, UnknownMethodIsNotFoundAndListsRegistered) {
+TEST(CreateMethodTest, UnknownMethodIsNotFoundAndNamesBoth) {
   auto res = api::CreateMethod("no_such_method", SmokeOptions(), 1);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
-  // The error is actionable: it names what IS registered.
+  // The error is actionable: it names the methods that do exist.
   EXPECT_NE(res.status().message().find("forward"), std::string::npos);
+  EXPECT_NE(res.status().message().find("node2vec"), std::string::npos);
 }
 
-TEST(RegistryTest, DuplicateRegistrationFails) {
-  Status st = api::RegisterMethod(
-      "Forward", [](const api::MethodOptions&, uint64_t) {
-        return std::unique_ptr<api::Embedder>();
-      });
-  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-}
+class MethodTest : public ::testing::TestWithParam<const char*> {};
 
-TEST(RegistryTest, InvalidRegistrationsRejected) {
-  EXPECT_EQ(api::RegisterMethod("", nullptr).code(),
+TEST_P(MethodTest, NullDatabaseRejected) {
+  auto created = api::CreateMethod(GetParam(), SmokeOptions(), 1);
+  ASSERT_TRUE(created.ok()) << created.status();
+  EXPECT_EQ(created.value()->TrainStatic(nullptr, 0, {}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(api::RegisterMethod("x", nullptr).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(created.value()->dim(), 0u);
 }
 
-/// A registered third-party method: embeds every fact as a constant
-/// vector. Exercises the open registry end to end, including the default
-/// (scalar-loop) EmbedBatch implementation.
-class ConstantMethod : public api::Embedder {
- public:
-  Status TrainStatic(const db::Database* database, db::RelationId rel,
-                     const api::AttrKeySet& excluded) override {
-    (void)database;
-    (void)rel;
-    (void)excluded;
-    trained_ = true;
-    return Status::OK();
-  }
-  Status ExtendToFacts(const std::vector<db::FactId>&) override {
-    return Status::OK();
-  }
-  Result<la::Vector> Embed(db::FactId f) const override {
-    if (!trained_) return Status::FailedPrecondition("untrained");
-    return la::Vector{static_cast<double>(f), 1.0, 2.0};
-  }
-  std::string Name() const override { return "Constant"; }
-  size_t dim() const override { return 3; }
+INSTANTIATE_TEST_SUITE_P(BothMethods, MethodTest,
+                         ::testing::Values("forward", "node2vec"));
 
- private:
-  bool trained_ = false;
-};
-
-TEST(RegistryTest, ThirdPartyMethodPlugsIntoEngine) {
-  // Registration survives for the process lifetime; the suffixed name
-  // keeps this test independent of execution order.
-  static const Status registered = api::RegisterMethod(
-      "constant_test_method", [](const api::MethodOptions&, uint64_t) {
-        return std::unique_ptr<api::Embedder>(new ConstantMethod());
-      });
-  ASSERT_TRUE(registered.ok()) << registered;
-
-  db::Database database = MovieDatabase();
-  auto engine =
-      api::Engine::Train(&database, "constant_test_method",
-                         database.schema().RelationIndex("COLLABORATIONS"),
-                         {}, SmokeOptions(), 1);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine.value().method(), "Constant");
-  EXPECT_EQ(engine.value().dim(), 3u);
-  // The default EmbedBatch (scalar loop) serves registered methods.
-  const std::vector<db::FactId> facts = {4, 7};
-  la::Matrix out = engine.value().EmbedBatch(facts).value();
-  EXPECT_EQ(out.Row(0), (la::Vector{4.0, 1.0, 2.0}));
-  EXPECT_EQ(out.Row(1), (la::Vector{7.0, 1.0, 2.0}));
-}
-
-// ---- Engine journaling (any method) -----------------------------------
+// ---- Journaling (either method) ----------------------------------------
 
 class EngineJournalTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineJournalTest, AttachExtendVerifyIsBitExact) {
-  // AttachJournal used to be FoRWaRD-only; with the codec registry every
-  // built-in method journals through the same Engine surface and recovers
+  // Every method journals through the same Embedder surface and recovers
   // bit-exactly.
   db::Database database = MovieDatabase();
-  const db::RelationId collab =
-      database.schema().RelationIndex("COLLABORATIONS");
-  auto trained = api::Engine::Train(&database, GetParam(), collab, {},
-                                    SmokeOptions(), 7);
-  ASSERT_TRUE(trained.ok()) << trained.status();
-  api::Engine engine = std::move(trained).value();
+  std::unique_ptr<api::Embedder> method =
+      Trained(database, GetParam(), SmokeOptions(), 7);
+  ASSERT_NE(method, nullptr);
 
   const std::string dir = ::testing::TempDir() + "/stedb_engine_journal_" +
                           std::string(GetParam());
   std::filesystem::remove_all(dir);
-  ASSERT_TRUE(engine.AttachJournal(dir).ok());
+  ASSERT_TRUE(method->AttachJournal(dir).ok());
 
   db::FactId c4 = InsertC4(database);
-  ASSERT_TRUE(engine.ExtendToFacts({c4}).ok());
+  ASSERT_TRUE(method->ExtendToFacts({c4}).ok());
 
-  auto drift = engine.VerifyJournal();
+  auto drift = method->VerifyJournal();
   ASSERT_TRUE(drift.ok()) << drift.status();
   EXPECT_EQ(drift.value(), 0.0);
 }
@@ -146,7 +99,16 @@ TEST_P(EngineJournalTest, AttachExtendVerifyIsBitExact) {
 INSTANTIATE_TEST_SUITE_P(BothMethods, EngineJournalTest,
                          ::testing::Values("forward", "node2vec"));
 
-// ---- Engine + batch reads ---------------------------------------------
+// ---- Batch reads ---------------------------------------------------------
+
+/// Allocating batch read: one row per fact.
+la::Matrix EmbedBatch(const api::Embedder& method,
+                      Span<const db::FactId> facts) {
+  la::Matrix out(facts.size(), method.dim());
+  const Status st = method.EmbedBatch(facts, out);
+  EXPECT_TRUE(st.ok()) << st;
+  return out;
+}
 
 class EngineBatchTest : public ::testing::TestWithParam<const char*> {};
 
@@ -154,19 +116,18 @@ TEST_P(EngineBatchTest, BatchMatchesScalarThroughExtension) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  auto trained = api::Engine::Train(&database, GetParam(), collab, {},
-                                    SmokeOptions(), 42);
-  ASSERT_TRUE(trained.ok()) << trained.status();
-  api::Engine engine = std::move(trained).value();
-  EXPECT_GT(engine.dim(), 0u);
+  std::unique_ptr<api::Embedder> method =
+      Trained(database, GetParam(), SmokeOptions(), 42);
+  ASSERT_NE(method, nullptr);
+  EXPECT_GT(method->dim(), 0u);
 
   auto check_equivalence = [&](const std::vector<db::FactId>& facts) {
-    la::Matrix batch(facts.size(), engine.dim());
-    ASSERT_TRUE(engine.EmbedBatch(facts, batch).ok());
+    la::Matrix batch(facts.size(), method->dim());
+    ASSERT_TRUE(method->EmbedBatch(facts, batch).ok());
     for (size_t i = 0; i < facts.size(); ++i) {
       // Bit-identical, not approximately equal: the batch path must be
       // the same read, only vectorized.
-      EXPECT_EQ(batch.Row(i), engine.Embed(facts[i]).value())
+      EXPECT_EQ(batch.Row(i), method->Embed(facts[i]).value())
           << "fact " << facts[i];
     }
   };
@@ -177,7 +138,7 @@ TEST_P(EngineBatchTest, BatchMatchesScalarThroughExtension) {
 
   // After a dynamic extension the new fact must round-trip too.
   db::FactId c4 = InsertC4(database);
-  ASSERT_TRUE(engine.ExtendToFacts({c4}).ok());
+  ASSERT_TRUE(method->ExtendToFacts({c4}).ok());
   facts.push_back(c4);
   check_equivalence(facts);
 }
@@ -186,8 +147,8 @@ TEST_P(EngineBatchTest, ParallelBatchIsBitIdenticalToSerial) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  // Two engines, same seed, different thread pins: the batch gather must
-  // not depend on the pool size.
+  // Two instances, same seed, different thread pins: the batch gather
+  // must not depend on the pool size.
   exp::MethodConfig serial_cfg = SmokeOptions();
   serial_cfg.forward.threads = 1;
   serial_cfg.node2vec.sg.threads = 1;
@@ -196,20 +157,20 @@ TEST_P(EngineBatchTest, ParallelBatchIsBitIdenticalToSerial) {
   parallel_cfg.forward.threads = 4;
   parallel_cfg.node2vec.sg.threads = 4;
   parallel_cfg.node2vec.walk.threads = 4;
-  auto serial = api::Engine::Train(&database, GetParam(), collab, {},
-                                   serial_cfg, 42);
-  auto parallel = api::Engine::Train(&database, GetParam(), collab, {},
-                                     parallel_cfg, 42);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  std::unique_ptr<api::Embedder> serial =
+      Trained(database, GetParam(), serial_cfg, 42);
+  std::unique_ptr<api::Embedder> parallel =
+      Trained(database, GetParam(), parallel_cfg, 42);
+  ASSERT_NE(serial, nullptr);
+  ASSERT_NE(parallel, nullptr);
 
   // Cycle the fact list well past the parallel-gather threshold so the
-  // 4-thread engine actually fans out.
+  // 4-thread instance actually fans out.
   const std::vector<db::FactId> base = database.FactsOf(collab);
   std::vector<db::FactId> many;
   for (size_t i = 0; i < 200; ++i) many.push_back(base[i % base.size()]);
-  la::Matrix a = serial.value().EmbedBatch(many).value();
-  la::Matrix b = parallel.value().EmbedBatch(many).value();
+  la::Matrix a = EmbedBatch(*serial, many);
+  la::Matrix b = EmbedBatch(*parallel, many);
   EXPECT_EQ(a.data(), b.data());
 }
 
@@ -217,28 +178,26 @@ TEST_P(EngineBatchTest, BatchErrorCases) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  auto engine = api::Engine::Train(&database, GetParam(), collab, {},
-                                   SmokeOptions(), 7);
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  std::unique_ptr<api::Embedder> method =
+      Trained(database, GetParam(), SmokeOptions(), 7);
+  ASSERT_NE(method, nullptr);
 
   const std::vector<db::FactId> facts = database.FactsOf(collab);
-  la::Matrix wrong_rows(facts.size() + 1, engine.value().dim());
-  EXPECT_EQ(engine.value().EmbedBatch(facts, wrong_rows).code(),
+  la::Matrix wrong_rows(facts.size() + 1, method->dim());
+  EXPECT_EQ(method->EmbedBatch(facts, wrong_rows).code(),
             StatusCode::kInvalidArgument);
-  la::Matrix wrong_cols(facts.size(), engine.value().dim() + 1);
-  EXPECT_EQ(engine.value().EmbedBatch(facts, wrong_cols).code(),
+  la::Matrix wrong_cols(facts.size(), method->dim() + 1);
+  EXPECT_EQ(method->EmbedBatch(facts, wrong_cols).code(),
             StatusCode::kInvalidArgument);
 
   std::vector<db::FactId> with_missing = facts;
   with_missing.push_back(123456);  // never embedded
-  la::Matrix out(with_missing.size(), engine.value().dim());
-  EXPECT_EQ(engine.value().EmbedBatch(with_missing, out).code(),
+  la::Matrix out(with_missing.size(), method->dim());
+  EXPECT_EQ(method->EmbedBatch(with_missing, out).code(),
             StatusCode::kNotFound);
 
-  la::Matrix empty(0, engine.value().dim());
-  EXPECT_TRUE(engine.value()
-                  .EmbedBatch(Span<const db::FactId>(), empty)
-                  .ok());
+  la::Matrix empty(0, method->dim());
+  EXPECT_TRUE(method->EmbedBatch(Span<const db::FactId>(), empty).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, EngineBatchTest,
@@ -246,20 +205,6 @@ INSTANTIATE_TEST_SUITE_P(Methods, EngineBatchTest,
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });
-
-TEST(EngineTest, UnknownMethodFailsTrain) {
-  db::Database database = MovieDatabase();
-  auto engine = api::Engine::Train(
-      &database, "bogus", database.schema().RelationIndex("COLLABORATIONS"),
-      {}, SmokeOptions(), 1);
-  EXPECT_EQ(engine.status().code(), StatusCode::kNotFound);
-}
-
-TEST(EngineTest, NullDatabaseRejected) {
-  auto engine =
-      api::Engine::Train(nullptr, "forward", 0, {}, SmokeOptions(), 1);
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
 
 // ---- STEDB_SCALE hard rejection ---------------------------------------
 

@@ -682,18 +682,38 @@ TEST(SinkTest, Node2VecExtensionsHitTheSink) {
   EXPECT_EQ(embedding.Embed(c4).value().size(), 8u);
 }
 
-// ---- Codec registry + method-agnostic store ----------------------------
+// ---- Codec lookup + method-agnostic store -----------------------------
 
-TEST(ModelCodecTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> codecs = RegisteredModelCodecs();
-  ASSERT_EQ(codecs.size(), 2u);
-  EXPECT_EQ(codecs[0], "forward");
-  EXPECT_EQ(codecs[1], "node2vec");
-  // Case-insensitive, mirroring the api method registry.
-  EXPECT_TRUE(CodecByMethod("FoRWaRD").ok());
-  EXPECT_TRUE(CodecByMethod("NODE2VEC").ok());
+TEST(ModelCodecTest, LookupByMethodAndTag) {
+  // Case-insensitive, like api::CreateMethod.
+  ASSERT_TRUE(CodecByMethod("FoRWaRD").ok());
+  ASSERT_TRUE(CodecByMethod("NODE2VEC").ok());
+  EXPECT_EQ(CodecByMethod("FoRWaRD").value()->method(), "forward");
+  EXPECT_EQ(CodecByMethod("NODE2VEC").value()->method(), "node2vec");
   EXPECT_EQ(CodecByMethod("no_such_method").status().code(),
             StatusCode::kNotFound);
+
+  auto fwd_codec = CodecByTag(FourCc('F', 'W', 'D', ' '));
+  auto n2v_codec = CodecByTag(FourCc('N', '2', 'V', ' '));
+  ASSERT_TRUE(fwd_codec.ok()) << fwd_codec.status();
+  ASSERT_TRUE(n2v_codec.ok()) << n2v_codec.status();
+  EXPECT_EQ(fwd_codec.value()->method(), "forward");
+  EXPECT_EQ(n2v_codec.value()->method(), "node2vec");
+  // Both lookups hand out the same process-lifetime codec.
+  EXPECT_EQ(fwd_codec.value(), CodecByMethod("forward").value());
+  EXPECT_EQ(CodecByTag(FourCc('N', 'O', 'P', 'E')).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ModelCodecTest, CreateWithUnknownMethodTouchesNothing) {
+  const std::string dir = ::testing::TempDir() + "/store_unknown_method";
+  std::filesystem::remove_all(dir);
+  auto model = std::make_unique<VectorSetModel>(4, -1);
+  model->set_phi(1, la::Vector(4, 0.5));
+  auto created = EmbeddingStore::Create(dir, "no_such_method",
+                                        std::move(model));
+  EXPECT_EQ(created.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
